@@ -9,9 +9,9 @@ from .detector import (Circle, DetectionResult, DetectorParams, Extremum,
                        ProjectionProfile, detect_end_of_restriction, find_extrema,
                        locate_circle, normalize_profile, profile_to_csv, project_cst,
                        result_to_dict, result_to_json)
-from .errors import (AngleOutOfRange, BadHeader, BadMagic, BadRadiusRange, BadTarget,
-                     EmptyCorpus, ImageTooSmall, ProfileTooShort, SliceRadonError,
-                     SpecTooDense, TruncatedData)
+from .errors import (AngleOutOfRange, BadDetectorParams, BadHeader, BadMagic,
+                     BadRadiusRange, BadTarget, EmptyCorpus, ImageTooSmall, ProfileTooShort,
+                     SliceRadonError, SpecTooDense, TruncatedData)
 from .image import (Degradation, GrayImage, SignSpec, degrade, load_pgm, save_pgm,
                     synth_sign)
 from .transforms import (ComplexSpectrum2D, DctSpectrum2D, SpectrumSlice, dct2, dft2,

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import replace
+import typing
+from dataclasses import fields, replace
 from pathlib import Path
 
 import click
@@ -35,6 +36,38 @@ def _detector_params(backend, ramp, prominence, gain, crop) -> DetectorParams:
     if crop is not None:
         kw["crop"] = crop
     return DetectorParams(**kw)
+
+
+def _fits(value, tp) -> bool:
+    """True when a decoded JSON value can stand for a field of type `tp`."""
+    if tp is type(None):
+        return value is None
+    if tp in (int, float):
+        ok = (int,) if tp is int else (int, float)
+        return isinstance(value, ok) and not isinstance(value, bool)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    return any(_fits(value, a) for a in args)  # a union such as int | None
+
+
+def _template_overrides(text: str) -> dict:
+    """Validated CorpusTemplates overrides from the JSON text of a spec file."""
+    spec = json.loads(text)
+    if not isinstance(spec, dict):
+        raise ValueError("spec file must hold a JSON object")
+    types = typing.get_type_hints(CorpusTemplates)
+    declared = {f.name: f.type for f in fields(CorpusTemplates)}
+    for key, value in spec.items():
+        if key not in types:
+            raise ValueError(f"unknown spec key {key!r}; known keys: {', '.join(declared)}")
+        if not _fits(value, types[key]):
+            raise ValueError(f"spec key {key!r} needs {declared[key]}, got {value!r}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in spec.items()}
 
 
 def _fail(msg: str):
@@ -88,8 +121,7 @@ def synth(out_dir, count, classes, seed, blur_max, noise_max, target, spec_file)
 
         tpl = CorpusTemplates()
         if spec_file:
-            tpl = replace(tpl, **{k: tuple(v) if isinstance(v, list) else v
-                                  for k, v in json.loads(Path(spec_file).read_text()).items()})
+            tpl = replace(tpl, **_template_overrides(Path(spec_file).read_text()))
         if blur_max is not None:
             tpl = replace(tpl, blur=(min(tpl.blur[0], blur_max), blur_max))
         if noise_max is not None:

@@ -202,6 +202,9 @@ def evaluate_corpus(corpus_dir: str | Path, params: DetectorParams = DetectorPar
                     jobs: int = 1) -> CorpusReport:
     """Run the detector over every manifest entry and aggregate per class.
 
+    Rows with a label outside CLASS_LABELS, a name that is not a plain file
+    name, or a missing file are skipped with a message in `warnings`.
+
     Results are keyed by filename and aggregated in sorted order, so the
     report does not depend on worker count or completion order.
     """
@@ -218,6 +221,13 @@ def evaluate_corpus(corpus_dir: str | Path, params: DetectorParams = DetectorPar
 
     todo = []
     for name, label in manifest:
+        if label not in CLASS_LABELS:
+            warnings.append(f"unknown class label {label!r} in manifest: {name}")
+            continue
+        # a string check, so that names like ../x or /x never reach the file system
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            warnings.append(f"not a plain file name in manifest: {name}")
+            continue
         if not (corpus / name).is_file():
             warnings.append(f"missing file listed in manifest: {name}")
             continue

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.signal import find_peaks
 
-from .errors import BadRadiusRange, ImageTooSmall, ProfileTooShort
+from .errors import BadDetectorParams, BadRadiusRange, ImageTooSmall, ProfileTooShort
 from .image import GrayImage
 from .transforms import (_dct2_array, _dft2_array, extract_slice,
                          inverse_slice, ramp_filter)
@@ -85,6 +85,18 @@ class DetectorParams:
     crop: str = "auto"
     crop_min_size: int = 32
 
+    def __post_init__(self):
+        for name, allowed in (("backend", ("dft", "dct")), ("crop", ("auto", "on", "off")),
+                              ("interp", ("bilinear", "nearest"))):
+            if getattr(self, name) not in allowed:
+                raise BadDetectorParams(f"{name} must be one of {', '.join(allowed)}, "
+                                        f"got {getattr(self, name)!r}")
+        if self.pad_factor is not None and self.pad_factor < 1:
+            raise BadDetectorParams(f"pad_factor must be at least 1, got {self.pad_factor}")
+        if not 0.0 < self.min_prominence <= 1.0:
+            raise BadDetectorParams(f"min_prominence must lie in (0, 1], "
+                                    f"got {self.min_prominence}")
+
     def gain(self) -> float:
         return _GAIN_DEFAULT[self.backend] if self.min_gain is None else self.min_gain
 
@@ -149,10 +161,18 @@ def locate_circle(img: GrayImage, r_min: int, r_max: int) -> Circle | None:
 
     Central-difference gradients; pixels with magnitude above mean + std
     vote along their gradient line (both senses) at each radius. The
-    accumulator is read through a 3x3x3 window so votes scattered by
-    discretization still pile up. The best cell wins if its windowed score
-    exceeds half the perfect-circle count 2 pi r; ties resolve to the
-    lowest (cy, cx, r).
+    accumulator is read through a 3x3x3 window, zero beyond the image and
+    beyond [r_min, r_max], so votes scattered by discretization still pile
+    up. The best cell wins if its windowed score exceeds half the
+    perfect-circle count 2 pi r.
+
+    The (cy, cx, r) accumulator is never held whole, so memory is O(h w)
+    whatever the radius range. Radii are streamed: each radius gets one
+    h x w vote slab (a single bincount over both senses), filtered by a
+    separable zero-padded 3x3 box, and the windowed score at radius r is
+    the sum of the filtered slabs at r - 1, r and r + 1, kept in a rolling
+    window of three. Ties resolve as argmax over the volume in C order
+    would: the lowest (cy, cx) first, then the lowest r.
     """
     h, w = img.height, img.width
     if not 1 <= r_min <= r_max <= min(w, h) / 2:
@@ -169,28 +189,55 @@ def locate_circle(img: GrayImage, r_min: int, r_max: int) -> Circle | None:
         return None
     ux = gx[ys, xs] / mag[ys, xs]
     uy = gy[ys, xs] / mag[ys, xs]
+    # Both senses of every gradient ray; r * -u is exactly -(r * u).
+    xs = np.concatenate((xs, xs)).astype(float)
+    ys = np.concatenate((ys, ys)).astype(float)
+    ux = np.concatenate((ux, -ux))
+    uy = np.concatenate((uy, -uy))
 
-    nr = r_max - r_min + 1
-    acc = np.zeros((h, w, nr), dtype=np.int64)
-    for ri, r in enumerate(range(r_min, r_max + 1)):
-        for sgn in (1.0, -1.0):
-            cx = np.floor(xs + sgn * r * ux + 0.5).astype(int)
-            cy = np.floor(ys + sgn * r * uy + 0.5).astype(int)
-            ok = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-            np.add.at(acc, (cy[ok], cx[ok], np.full(int(ok.sum()), ri)), 1)
+    # Each edge pixel casts at most 2 votes per radius, so no slab, filtered
+    # slab or windowed score exceeds 3 * len(xs) (= 6 * edges).
+    acc = np.int32 if 3 * len(xs) < 2 ** 31 else np.int64
+    wp = w + 2
+    rows = np.empty((h, wp), acc)
 
-    windowed = np.zeros_like(acc)
-    pad = np.pad(acc, 1)
-    for dy in range(3):
-        for dx in range(3):
-            for dr in range(3):
-                windowed += pad[dy:dy + h, dx:dx + w, dr:dr + nr]
-    cy0, cx0, ri0 = np.unravel_index(int(np.argmax(windowed)), windowed.shape)
-    r0 = r_min + int(ri0)
-    score = int(windowed[cy0, cx0, ri0])
-    if score <= 0.5 * (2.0 * np.pi * r0):
+    def filtered_votes(r: int, out: np.ndarray) -> None:
+        # Votes off the image are clipped onto a one-cell border, which is
+        # then cleared; the cleared border is also the box's zero padding.
+        cx = np.clip(np.floor(xs + r * ux + 0.5), -1, w)
+        cy = np.clip(np.floor(ys + r * uy + 0.5), -1, h)
+        flat = ((cy + 1) * wp + (cx + 1)).astype(np.intp)
+        padded = np.bincount(flat, minlength=(h + 2) * wp).astype(acc).reshape(h + 2, wp)
+        padded[[0, -1]] = 0
+        padded[:, [0, -1]] = 0
+        np.add(padded[:-2], padded[1:-1], out=rows)
+        np.add(rows, padded[2:], out=rows)
+        np.add(rows[:, :-2], rows[:, 1:-1], out=out)
+        np.add(out, rows[:, 2:], out=out)
+
+    slabs = [np.zeros((h, w), acc) for _ in range(3)]  # filtered r - 1, r, r + 1
+    windowed = np.empty((h, w), acc)
+    filtered_votes(r_min, slabs[1])
+    best_score, best_flat, r0 = -1, 0, r_min
+    for r in range(r_min, r_max + 1):
+        prev, cur, nxt = slabs
+        if r < r_max:
+            filtered_votes(r + 1, nxt)
+        else:
+            nxt.fill(0)
+        np.add(prev, cur, out=windowed)
+        windowed += nxt
+        flat = int(np.argmax(windowed))
+        score = int(windowed.flat[flat])
+        # radii arrive in increasing order, so an equal score replaces the
+        # best only from a lower (cy, cx)
+        if score > best_score or (score == best_score and flat < best_flat):
+            best_score, best_flat, r0 = score, flat, r
+        slabs = [cur, nxt, prev]
+    if best_score <= 0.5 * (2.0 * np.pi * r0):
         return None
-    return Circle(cx=int(cx0), cy=int(cy0), radius=r0, score=float(score))
+    cy0, cx0 = divmod(best_flat, w)
+    return Circle(cx=cx0, cy=cy0, radius=r0, score=float(best_score))
 
 
 def _crop_to_circle(img: GrayImage, c: Circle) -> GrayImage:

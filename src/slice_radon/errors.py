@@ -41,5 +41,9 @@ class BadRadiusRange(SliceRadonError):
     """Hough radius range violates 1 <= r_min <= r_max <= min(w, h) / 2."""
 
 
+class BadDetectorParams(SliceRadonError):
+    """DetectorParams field outside its allowed values."""
+
+
 class EmptyCorpus(SliceRadonError):
     """Corpus directory has no usable manifest entries."""

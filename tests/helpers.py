@@ -96,13 +96,13 @@ def draw_ring(size, cx, cy, r, fg, bg):
     return bg + cov * (fg - bg)
 
 
-def hough_gather_oracle(img, r_min, r_max):
+def hough_gather_scores(img, r_min, r_max):
     """Recount the windowed Hough score cell by cell (gather form).
 
     Same voting geometry as locate_circle: central differences, threshold
     mean + std, both senses of the gradient ray, nearest-cell landing, and
-    a 3x3x3 neighborhood window. Returns (argmax cell, windowed score) or
-    None when no pixel passes the edge threshold.
+    a 3x3x3 neighborhood window. Returns {(cy, cx, r): windowed score} over
+    every cell, or None when no pixel passes the edge threshold.
     """
     px = img.pixels
     h, w = px.shape
@@ -116,7 +116,6 @@ def hough_gather_oracle(img, r_min, r_max):
     if not edges:
         return None
 
-    votes = set()
     counts = {}
     for (x, y) in edges:
         m = mag[y, x]
@@ -129,17 +128,28 @@ def hough_gather_oracle(img, r_min, r_max):
                     key = (cy, cx, r)
                     counts[key] = counts.get(key, 0) + 1
 
-    best = None
-    nr = r_max - r_min + 1
+    scores = {}
     for cy in range(h):
         for cx in range(w):
-            for ri in range(nr):
-                r = r_min + ri
+            for r in range(r_min, r_max + 1):
                 score = 0
                 for dy in (-1, 0, 1):
                     for dx in (-1, 0, 1):
                         for dr in (-1, 0, 1):
                             score += counts.get((cy + dy, cx + dx, r + dr), 0)
-                if best is None or score > best[1]:
-                    best = ((cy, cx, r), score)
+                scores[(cy, cx, r)] = score
+    return scores
+
+
+def hough_gather_oracle(img, r_min, r_max):
+    """The first cell in (cy, cx, r) order with the highest windowed score of
+    hough_gather_scores, as (cell, score), or None when no pixel passes the
+    edge threshold."""
+    scores = hough_gather_scores(img, r_min, r_max)
+    if scores is None:
+        return None
+    best = None
+    for cell, score in scores.items():  # inserted in (cy, cx, r) order
+        if best is None or score > best[1]:
+            best = (cell, score)
     return best

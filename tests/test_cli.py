@@ -56,6 +56,21 @@ def test_synth_seed_from_environment(tmp_path):
         assert fa.read_bytes() == (b / fa.name).read_bytes()
 
 
+def test_synth_spec_file(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"duty": 0.4, "stripe_widths": [4], "target_size": None}))
+    r = run("synth", str(tmp_path / "ok"), "--classes", "end_restriction=1",
+            "--spec-file", str(good))
+    assert r.exit_code == 0, r.output
+    for spec in ({"bogus": 1}, {"sign_size": "64"}, {"blur": [0.1]}, {"duty": True}, [1]):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        r = run("synth", str(tmp_path / "no"), "--classes", "end_restriction=1",
+                "--spec-file", str(bad))
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit), spec
+        assert r.output.startswith("error: ") and "Traceback" not in r.output, spec
+
+
 def test_synth_count_zero_warns(tmp_path):
     out = tmp_path / "corpus"
     r = run("synth", str(out), "--classes", "end_restriction=0")

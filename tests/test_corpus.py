@@ -74,6 +74,34 @@ def test_eval_skips_missing_files_with_warning(tmp_path):
     assert report.rows[0].total == 3
 
 
+def test_eval_skips_unknown_labels_with_warning(tmp_path):
+    rows = generate_corpus(tmp_path, {"end_restriction": 3, "other_negative": 2}, seed=2)
+    # one positive with a misspelt label, which used to count as a negative
+    rows[0] = (rows[0][0], "end_restrction")
+    (tmp_path / "labels.csv").write_text("".join(f"{n},{l}\n" for n, l in rows))
+    report = evaluate_corpus(tmp_path)
+    assert len(report.warnings) == 1 and "end_restrction" in report.warnings[0]
+    assert {r.class_label: r.total for r in report.rows} == {
+        "end_restriction": 2, "other_negative": 2}
+    assert report.false_positive_rate == 0.0
+
+
+def test_eval_skips_names_outside_the_corpus(tmp_path):
+    corpus = tmp_path / "corpus"
+    generate_corpus(corpus, {"end_restriction": 2}, seed=2)
+    (corpus / "sub").mkdir()
+    outside = ["../secret.pgm", str(tmp_path / "abs.pgm"), "sub/b.pgm"]
+    for path in (tmp_path / "secret.pgm", tmp_path / "abs.pgm", corpus / "sub" / "b.pgm"):
+        path.write_bytes((corpus / "00000_end_restriction.pgm").read_bytes())
+    manifest = (corpus / "labels.csv").read_text()
+    (corpus / "labels.csv").write_text(
+        manifest + "".join(f"{n},end_restriction\n" for n in outside))
+    report = evaluate_corpus(corpus)
+    assert len(report.warnings) == 3
+    assert all(n in w for n, w in zip(outside, report.warnings))
+    assert report.rows[0].total == 2
+
+
 def test_eval_matches_individual_detections(tmp_path):
     generate_corpus(tmp_path, {"end_restriction": 6, "speed_limit": 6}, seed=11)
     params = DetectorParams()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import rel_l2
-from slice_radon import (Degradation, DetectorParams, GrayImage, ImageTooSmall,
+from slice_radon import (BadDetectorParams, Degradation, DetectorParams, GrayImage,
+                         ImageTooSmall,
                          ProfileTooShort, ProjectionProfile, SignSpec, degrade,
                          detect_end_of_restriction, find_extrema, normalize_profile,
                          profile_to_csv, project_cst, radon_direct, result_to_dict,
@@ -141,6 +142,14 @@ def test_detect_negative_on_speed_limit_like():
 def test_detect_rejects_tiny_images():
     with pytest.raises(ImageTooSmall):
         detect_end_of_restriction(GrayImage.from_array(np.full((4, 4), 0.5)))
+
+
+@pytest.mark.parametrize("bad", [{"backend": "DFT"}, {"crop": "of"}, {"interp": "cubic"},
+                                 {"pad_factor": 0}, {"min_prominence": 0.0},
+                                 {"min_prominence": 1.5}])
+def test_params_reject_values_outside_their_domain(bad):
+    with pytest.raises(BadDetectorParams):
+        DetectorParams(**bad)
 
 
 def test_detect_backend_agreement(five_stripe_sign):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import draw_ring, hough_gather_oracle
+from helpers import draw_ring, hough_gather_oracle, hough_gather_scores
 from slice_radon import BadRadiusRange, GrayImage, locate_circle
 
 
@@ -66,3 +69,66 @@ def test_agrees_with_gather_oracle_on_16px_set(rng):
         else:
             assert (got.cy, got.cx, got.radius) == (ocy, ocx, orr)
             assert got.score == oscore
+
+
+@st.composite
+def _ring_images(draw):
+    """Odd and non-square 8-24 px images: one ring, optional noise, and a
+    radius range anywhere in [1, min(h, w) / 2], single radii included."""
+    h, w = draw(st.integers(8, 24)), draw(st.integers(8, 24))
+    yy, xx = np.mgrid[0:h, 0:w].astype(float)
+    cx, cy = draw(st.floats(0, w - 1)), draw(st.floats(0, h - 1))
+    r = draw(st.floats(1.0, min(h, w) / 2))
+    cov = np.clip(1.5 - np.abs(np.hypot(xx - cx, yy - cy) - r), 0.0, 1.0)
+    arr = 0.9 - 0.8 * cov
+    noise = draw(st.sampled_from([0.0, 0.05]))
+    if noise:
+        arr = np.clip(arr + np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+                      .normal(0.0, noise, (h, w)), 0.0, 1.0)
+    r_max = draw(st.integers(1, min(h, w) // 2))
+    r_min = draw(st.integers(1, r_max))
+    return GrayImage.from_array(arr), r_min, r_max
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ring_images())
+def test_agrees_with_gather_oracle_on_odd_shapes(case):
+    img, r_min, r_max = case
+    oracle = hough_gather_oracle(img, r_min, r_max)
+    got = locate_circle(img, r_min, r_max)
+    if oracle is None or oracle[1] <= np.pi * oracle[0][2]:
+        assert got is None
+    else:
+        (ocy, ocx, orr), oscore = oracle
+        assert (got.cy, got.cx, got.radius, got.score) == (ocy, ocx, orr, oscore)
+
+
+def test_ties_resolve_in_c_order_across_radii():
+    # Two bright squares. The 7 px one peaks at (cy, cx, r) = (5, 5, 4); the
+    # 5 px one ties it at (15, 15, 2) and (15, 15, 3), lower radii but a
+    # later (cy, cx). C order takes the lowest (cy, cx) before the lowest r.
+    arr = np.zeros((24, 24))
+    arr[2:9, 2:9] = 1.0
+    arr[13:18, 13:18] = 1.0
+    img = GrayImage.from_array(arr)
+    scores = hough_gather_scores(img, 1, 6)
+    best = max(scores.values())
+    assert [cell for cell, s in scores.items() if s == best] == [
+        (5, 5, 4), (15, 15, 2), (15, 15, 3)]
+    c = locate_circle(img, 1, 6)
+    assert (c.cy, c.cx, c.radius, c.score) == (5, 5, 4, float(best))
+
+
+def test_memory_is_linear_in_frame_area():
+    # A 256 px frame over 65 radii: one h x w x nr int64 accumulator would be
+    # 34 MB; the bound allows 16 h x w slabs of 8 bytes.
+    n = 256
+    img = GrayImage.from_array(draw_ring(n, 120, 130, 90, 0.1, 0.9))
+    tracemalloc.start()
+    try:
+        c = locate_circle(img, n // 4, n // 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c is not None and (c.cx, c.cy, c.radius) == (120, 130, 90)
+    assert peak < 16 * n * n * 8
