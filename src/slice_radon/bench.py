@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,11 +46,7 @@ class BenchReport:
     backend: str
 
     def to_dict(self) -> dict:
-        return {"backend": self.backend,
-                "rows": [{"n": r.n, "num_angles": r.num_angles,
-                          "direct_seconds": r.direct_seconds,
-                          "cst_seconds": r.cst_seconds,
-                          "max_rel_error": r.max_rel_error} for r in self.rows]}
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -58,9 +54,7 @@ class BenchReport:
     @classmethod
     def from_json(cls, text: str) -> "BenchReport":
         d = json.loads(text)
-        return cls(rows=[BenchRow(r["n"], r["num_angles"], r["direct_seconds"],
-                                  r["cst_seconds"], r["max_rel_error"]) for r in d["rows"]],
-                   backend=d["backend"])
+        return cls(**{**d, "rows": [BenchRow(**r) for r in d["rows"]]})
 
     def format_table(self) -> str:
         lines = [f"{'N':>5} {'angles':>7} {'direct [s]':>11} {'cst [s]':>9} {'max rel err':>12}"]

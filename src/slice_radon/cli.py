@@ -1,11 +1,13 @@
 """Command line surface: synth | project | detect | eval | bench.
 
 `detect` exits 10 for a positive verdict, 0 for negative, 1 on error, so
-shell pipelines can branch on the result.
+shell pipelines can branch on the result. Every command reports a bad
+input or file as `error: ...` on stderr and exits 1.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import typing
@@ -20,22 +22,30 @@ from .detector import (DetectorParams, detect_end_of_restriction, normalize_prof
                        profile_to_csv, project_cst, result_to_json)
 from .errors import SliceRadonError
 from .image import load_pgm
-from .transforms import slice_to_csv
+from .transforms import extract_slice, slice_to_csv, spectrum
+
+_BACKENDS = click.Choice(["dft", "dct"])
+# keyed by the DetectorParams field each option sets
+_DETECTOR_OPTIONS = {
+    "backend": click.option("--backend", type=_BACKENDS, default=None),
+    "apply_ramp": click.option("--ramp/--no-ramp", "apply_ramp", default=None),
+    "min_prominence": click.option("--prominence", "min_prominence", type=float, default=None),
+    "min_gain": click.option("--gain", "min_gain", type=float, default=None),
+    "crop": click.option("--crop", type=click.Choice(["auto", "on", "off"]), default=None),
+}
 
 
-def _detector_params(backend, ramp, prominence, gain, crop) -> DetectorParams:
-    kw = {}
-    if backend is not None:
-        kw["backend"] = backend
-    if ramp is not None:
-        kw["apply_ramp"] = ramp
-    if prominence is not None:
-        kw["min_prominence"] = prominence
-    if gain is not None:
-        kw["min_gain"] = gain
-    if crop is not None:
-        kw["crop"] = crop
-    return DetectorParams(**kw)
+def _detector_options(fn):
+    """Give a command the detector options; it receives them as one
+    DetectorParams `params`, where each option left out keeps its default."""
+    @functools.wraps(fn)
+    def command(**kw):
+        given = {name: kw.pop(name) for name in _DETECTOR_OPTIONS}
+        return fn(params=DetectorParams(**{k: v for k, v in given.items() if v is not None}),
+                  **kw)
+    for option in reversed(_DETECTOR_OPTIONS.values()):
+        command = option(command)
+    return command
 
 
 def _fits(value, tp) -> bool:
@@ -70,12 +80,19 @@ def _template_overrides(text: str) -> dict:
     return {k: tuple(v) if isinstance(v, list) else v for k, v in spec.items()}
 
 
-def _fail(msg: str):
-    click.echo(f"error: {msg}", err=True)
-    sys.exit(1)
+class _Main(click.Group):
+    """Turns the errors a command can meet on its inputs and files into
+    `error: ...` on stderr and exit status 1, never a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (SliceRadonError, ValueError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Parallel projections of 2D images via spectrum slices, plus a
     detector for the striped end-of-restriction traffic-sign class."""
@@ -92,54 +109,53 @@ def main():
               help="Cap the positive-class blur sigma range.")
 @click.option("--noise-max", type=float, default=None,
               help="Cap the positive-class noise sigma range.")
-@click.option("--target", type=int, default=20, show_default=True,
-              help="Downscale target size; 0 keeps full resolution.")
+@click.option("--target", type=int, default=None,
+              help="Downscale target size; 0 keeps full resolution. "
+                   "[default: the spec file's target_size, else 20]")
 @click.option("--spec-file", type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON file overriding corpus template fields.")
 def synth(out_dir, count, classes, seed, blur_max, noise_max, target, spec_file):
     """Generate a labeled synthetic corpus of PGM images."""
-    try:
-        counts: dict[str, int] = {}
-        names = []
-        for part in classes.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            name, _, n = part.partition("=")
-            if n:
-                counts[name] = int(n)
-            else:
-                names.append(name)
-        if names:
-            if count is None:
-                raise ValueError("give --count or per-class name=count entries")
-            share, extra = divmod(count, len(names))
-            for i, name in enumerate(names):
-                counts[name] = share + (1 if i < extra else 0)
-        elif count is not None and count != sum(counts.values()):
-            raise ValueError("--count disagrees with per-class counts")
+    counts: dict[str, int] = {}
+    names = []
+    for part in classes.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        name, _, n = part.partition("=")
+        if n:
+            counts[name] = int(n)
+        else:
+            names.append(name)
+    if names:
+        if count is None:
+            raise ValueError("give --count or per-class name=count entries")
+        share, extra = divmod(count, len(names))
+        for i, name in enumerate(names):
+            counts[name] = share + (1 if i < extra else 0)
+    elif count is not None and count != sum(counts.values()):
+        raise ValueError("--count disagrees with per-class counts")
 
-        tpl = CorpusTemplates()
-        if spec_file:
-            tpl = replace(tpl, **_template_overrides(Path(spec_file).read_text()))
-        if blur_max is not None:
-            tpl = replace(tpl, blur=(min(tpl.blur[0], blur_max), blur_max))
-        if noise_max is not None:
-            tpl = replace(tpl, noise=(min(tpl.noise[0], noise_max), noise_max))
+    tpl = CorpusTemplates()
+    if spec_file:
+        tpl = replace(tpl, **_template_overrides(Path(spec_file).read_text()))
+    if blur_max is not None:
+        tpl = replace(tpl, blur=(min(tpl.blur[0], blur_max), blur_max))
+    if noise_max is not None:
+        tpl = replace(tpl, noise=(min(tpl.noise[0], noise_max), noise_max))
+    if target is not None:
         tpl = replace(tpl, target_size=None if target == 0 else target)
 
-        rows = generate_corpus(out_dir, counts, seed=seed, templates=tpl)
-        if not rows:
-            click.echo("warning: empty corpus written (count 0)", err=True)
-        click.echo(f"wrote {len(rows)} images + labels.csv to {out_dir}")
-    except (SliceRadonError, ValueError, OSError) as exc:
-        _fail(str(exc))
+    rows = generate_corpus(out_dir, counts, seed=seed, templates=tpl)
+    if not rows:
+        click.echo("warning: empty corpus written (count 0)", err=True)
+    click.echo(f"wrote {len(rows)} images + labels.csv to {out_dir}")
 
 
 @main.command()
 @click.argument("image", type=click.Path(exists=True, dir_okay=False))
 @click.option("--angle", type=float, required=True, help="Projection angle in degrees.")
-@click.option("--backend", type=click.Choice(["dft", "dct"]), default="dft", show_default=True)
+@click.option("--backend", type=_BACKENDS, default="dft", show_default=True)
 @click.option("--ramp/--no-ramp", default=False, show_default=True)
 @click.option("--pad", type=int, default=2, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -148,62 +164,39 @@ def synth(out_dir, count, classes, seed, blur_max, noise_max, target, spec_file)
               help="Also dump the raw spectrum slice as CSV.")
 def project(image, angle, backend, ramp, pad, out, slice_csv):
     """Write the normalized projection profile of IMAGE as CSV."""
-    try:
-        img = load_pgm(Path(image).read_bytes())
-        # mean-free projection: constant backgrounds land on the flat 0.5
-        # reference instead of the padded-frame envelope
-        prof = normalize_profile(project_cst(img, angle, backend=backend,
-                                             apply_ramp=ramp, pad_factor=pad,
-                                             demean=True))
-        csv = profile_to_csv(prof)
-        if out:
-            Path(out).write_text(csv)
-        else:
-            click.echo(csv, nl=False)
-        if slice_csv:
-            from .transforms import dct2, dft2, extract_slice
-            spec = dft2(img, pad) if backend == "dft" else dct2(img, pad)
-            Path(slice_csv).write_text(slice_to_csv(extract_slice(spec, angle)))
-    except (SliceRadonError, ValueError, OSError) as exc:
-        _fail(str(exc))
+    img = load_pgm(Path(image).read_bytes())
+    # mean-free projection: constant backgrounds land on the flat 0.5
+    # reference instead of the padded-frame envelope
+    prof = normalize_profile(project_cst(img, angle, backend=backend, apply_ramp=ramp,
+                                         pad_factor=pad, demean=True))
+    csv = profile_to_csv(prof)
+    if out:
+        Path(out).write_text(csv)
+    else:
+        click.echo(csv, nl=False)
+    if slice_csv:
+        spec = spectrum(img.math_array(), backend, pad)
+        Path(slice_csv).write_text(slice_to_csv(extract_slice(spec, angle)))
 
 
 @main.command()
 @click.argument("image", type=click.Path(dir_okay=False))
-@click.option("--backend", type=click.Choice(["dft", "dct"]), default=None)
-@click.option("--ramp/--no-ramp", default=None)
-@click.option("--prominence", type=float, default=None)
-@click.option("--gain", type=float, default=None)
-@click.option("--crop", type=click.Choice(["auto", "on", "off"]), default=None)
-def detect(image, backend, ramp, prominence, gain, crop):
+@_detector_options
+def detect(image, params):
     """Classify IMAGE; exit 10 if positive, 0 if negative, 1 on error."""
-    try:
-        img = load_pgm(Path(image).read_bytes())
-        params = _detector_params(backend, ramp, prominence, gain, crop)
-        res = detect_end_of_restriction(img, params)
-    except (SliceRadonError, ValueError, OSError) as exc:
-        _fail(str(exc))
+    res = detect_end_of_restriction(load_pgm(Path(image).read_bytes()), params)
     click.echo(result_to_json(res))
     sys.exit(10 if res.positive else 0)
 
 
 @main.command(name="eval")
 @click.argument("corpus_dir", type=click.Path(exists=True, file_okay=False))
-@click.option("--backend", type=click.Choice(["dft", "dct"]), default=None)
-@click.option("--ramp/--no-ramp", default=None)
-@click.option("--prominence", type=float, default=None)
-@click.option("--gain", type=float, default=None)
-@click.option("--crop", type=click.Choice(["auto", "on", "off"]), default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@_detector_options
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the JSON report here as well.")
-def eval_cmd(corpus_dir, backend, ramp, prominence, gain, crop, jobs, out):
+def eval_cmd(corpus_dir, params, out):
     """Score a labeled corpus and print a per-class detection-rate table."""
-    try:
-        params = _detector_params(backend, ramp, prominence, gain, crop)
-        report = evaluate_corpus(corpus_dir, params, jobs=jobs)
-    except (SliceRadonError, ValueError, OSError) as exc:
-        _fail(str(exc))
+    report = evaluate_corpus(corpus_dir, params)
     for w in report.warnings:
         click.echo(f"warning: {w}", err=True)
     click.echo(report.format_table())
@@ -215,16 +208,13 @@ def eval_cmd(corpus_dir, backend, ramp, prominence, gain, crop, jobs, out):
 @click.option("--sizes", default="256", show_default=True,
               help="Comma list of image sizes (powers of two in [32, 1024]).")
 @click.option("--angles", type=int, default=180, show_default=True)
-@click.option("--backend", type=click.Choice(["dft", "dct"]), default="dft", show_default=True)
+@click.option("--backend", type=_BACKENDS, default="dft", show_default=True)
 @click.option("--seed", type=int, default=0, envvar="SLICE_RADON_SEED", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def bench(sizes, angles, backend, seed, out):
     """Time direct Radon vs the spectrum-slice route over full sinograms."""
-    try:
-        size_list = [int(s) for s in sizes.split(",") if s.strip()]
-        report = run_bench(size_list, angles, backend=backend, seed=seed)
-    except (SliceRadonError, ValueError) as exc:
-        _fail(str(exc))
+    report = run_bench([int(s) for s in sizes.split(",") if s.strip()], angles,
+                       backend=backend, seed=seed)
     click.echo(report.format_table())
     if out:
         Path(out).write_text(report.to_json())

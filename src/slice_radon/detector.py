@@ -19,8 +19,7 @@ from scipy.signal import find_peaks
 
 from .errors import BadDetectorParams, BadRadiusRange, ImageTooSmall, ProfileTooShort
 from .image import GrayImage
-from .transforms import (_dct2_array, _dft2_array, extract_slice,
-                         inverse_slice, ramp_filter)
+from .transforms import extract_slice, inverse_slice, ramp_filter, spectrum
 
 
 @dataclass(frozen=True)
@@ -115,12 +114,7 @@ def project_cst(img: GrayImage, angle: float, backend: str = "dft",
     arr = img.math_array().astype(float)
     if demean:
         arr = arr - arr.mean()
-    if backend == "dft":
-        slc = extract_slice(_dft2_array(arr, pad_factor), angle, interp)
-    elif backend == "dct":
-        slc = extract_slice(_dct2_array(arr, pad_factor), angle, interp)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    slc = extract_slice(spectrum(arr, backend, pad_factor), angle, interp)
     if apply_ramp:
         slc = ramp_filter(slc)
     return ProjectionProfile(values=inverse_slice(slc), angle=angle,
@@ -308,7 +302,4 @@ def profile_to_csv(p: ProjectionProfile) -> str:
 
 
 def params_to_dict(params: DetectorParams) -> dict:
-    d = asdict(params)
-    d["min_gain"] = params.gain()
-    d["pad_factor"] = params.pad()
-    return d
+    return {**asdict(params), "min_gain": params.gain(), "pad_factor": params.pad()}

@@ -14,7 +14,8 @@ class BadHeader(SliceRadonError):
 
 
 class TruncatedData(SliceRadonError):
-    """PGM raster holds fewer samples than width * height."""
+    """PGM raster short or malformed: fewer samples than width * height, or
+    a P2 sample that is not a nonnegative integer."""
 
 
 class SpecTooDense(SliceRadonError):

@@ -156,9 +156,12 @@ def load_pgm(data: bytes) -> GrayImage:
         if len(fields) < n:
             raise TruncatedData(f"expected {n} samples, found {len(fields)}")
         try:
-            values = np.array([int(f) for f in fields[:n]], dtype=float)
+            # clamped before the float conversion, which overflows past 1e308
+            values = np.array([min(int(f), maxval) for f in fields[:n]], dtype=float)
         except ValueError as exc:
             raise TruncatedData("non-numeric sample in P2 raster") from exc
+        if values.min() < 0:
+            raise TruncatedData("negative sample in P2 raster")
     else:
         offset += 1  # single whitespace byte after maxval
         per = 2 if maxval > 255 else 1

@@ -17,7 +17,7 @@ Conventions, fixed once:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import fft as sfft
@@ -67,7 +67,7 @@ class SpectrumSlice:
     bin k is k; the even reflection implied by the DCT makes this the
     symmetric slice's nonnegative half.
 
-    `sample_spacing` is one spectral bin (cycles per padded frame) and
+    Samples are one spectral bin (one cycle per padded frame) apart, and
     `frame` is that padded frame size in pixels, which fixes the spatial
     sample spacing frame / length of the inverse.
     """
@@ -76,7 +76,6 @@ class SpectrumSlice:
     values: np.ndarray
     angle: float
     backend: str  # "dft" | "dct"
-    sample_spacing: float
     frame: int
 
     @property
@@ -98,35 +97,39 @@ def _padded_shape(h: int, w: int, pad_factor: int) -> tuple[int, int]:
 def _center_pad(arr: np.ndarray, ph: int, pw: int, mode: str) -> np.ndarray:
     h, w = arr.shape
     oy, ox = (ph - h + 1) // 2, (pw - w + 1) // 2
-    if mode == "zero":
+    if mode == "zero":  # about 1 us here against 25 us in np.pad for a 64 x 64 frame
         out = np.zeros((ph, pw), dtype=float)
         out[oy:oy + h, ox:ox + w] = arr
         return out
     return np.pad(arr, ((oy, ph - h - oy), (ox, pw - w - ox)), mode="edge")
 
 
-def _dft2_array(arr_yup: np.ndarray, pad_factor: int) -> ComplexSpectrum2D:
+def spectrum(arr_yup: np.ndarray, backend: str,
+             pad_factor: int = 1) -> ComplexSpectrum2D | DctSpectrum2D:
+    """2D spectrum of a y-up float array under `backend`, "dft" or "dct".
+
+    The DFT zero-pads and is centered and phase referenced to the image
+    center; the DCT-II replicates edges and is orthonormal.
+    """
     ph, pw = _padded_shape(*arr_yup.shape, pad_factor)
-    pad = _center_pad(arr_yup, ph, pw, "zero")
-    bins = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(pad)))
-    return ComplexSpectrum2D(width=pw, height=ph, bins=bins)
+    if backend == "dft":
+        pad = _center_pad(arr_yup, ph, pw, "zero")
+        bins = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(pad)))
+        return ComplexSpectrum2D(width=pw, height=ph, bins=bins)
+    if backend == "dct":
+        pad = _center_pad(arr_yup, ph, pw, "edge")
+        return DctSpectrum2D(width=pw, height=ph, coeffs=sfft.dctn(pad, type=2, norm="ortho"))
+    raise ValueError(f"unknown backend {backend!r}")
 
 
 def dft2(img: GrayImage, pad_factor: int = 1) -> ComplexSpectrum2D:
     """Forward 2D DFT, centered, phase referenced to the image center."""
-    return _dft2_array(img.math_array().astype(float), pad_factor)
-
-
-def _dct2_array(arr_yup: np.ndarray, pad_factor: int) -> DctSpectrum2D:
-    ph, pw = _padded_shape(*arr_yup.shape, pad_factor)
-    pad = _center_pad(arr_yup, ph, pw, "edge")
-    coeffs = sfft.dctn(pad, type=2, norm="ortho")
-    return DctSpectrum2D(width=pw, height=ph, coeffs=coeffs)
+    return spectrum(img.math_array().astype(float), "dft", pad_factor)
 
 
 def dct2(img: GrayImage, pad_factor: int = 1) -> DctSpectrum2D:
     """Separable orthonormal 2D DCT-II with edge-replicating pad."""
-    return _dct2_array(img.math_array().astype(float), pad_factor)
+    return spectrum(img.math_array().astype(float), "dct", pad_factor)
 
 
 def idct2(spec: DctSpectrum2D) -> np.ndarray:
@@ -185,13 +188,13 @@ def extract_slice(spec: ComplexSpectrum2D | DctSpectrum2D, angle: float,
         t = np.arange(-n_neg, n_pos + 1, dtype=float)
         vals = _interp2(spec.bins, cx + t * c, cy + t * s, interp)
         return SpectrumSlice(length=len(t), values=vals, angle=angle, backend="dft",
-                             sample_spacing=1.0, frame=spec.width)
+                             frame=spec.width)
     c, s = abs(np.cos(th)), np.sin(th)
     _, t_hi = _ray_extent(spec.width, spec.height, c, s, 0.0, 0.0)
     t = np.arange(0, int(np.floor(t_hi + 1e-9)) + 1, dtype=float)
     vals = _interp2(spec.coeffs, t * c, t * s, interp)
     return SpectrumSlice(length=len(t), values=vals, angle=angle, backend="dct",
-                         sample_spacing=1.0, frame=spec.width)
+                         frame=spec.width)
 
 
 def ramp_filter(slc: SpectrumSlice) -> SpectrumSlice:
@@ -199,15 +202,10 @@ def ramp_filter(slc: SpectrumSlice) -> SpectrumSlice:
 
     Zeroes the DC sample exactly; attenuates low frequencies linearly.
     """
-    if slc.backend == "dft":
-        f = np.abs(np.arange(slc.length, dtype=float) - slc.length // 2)
-    else:
-        f = np.arange(slc.length, dtype=float)
+    f = np.abs(np.arange(slc.length, dtype=float) - slc.dc_index)
     top = f.max()
     weights = f / top if top > 0 else f
-    return SpectrumSlice(length=slc.length, values=slc.values * weights,
-                         angle=slc.angle, backend=slc.backend,
-                         sample_spacing=slc.sample_spacing, frame=slc.frame)
+    return replace(slc, values=slc.values * weights)
 
 
 def inverse_slice(slc: SpectrumSlice) -> np.ndarray:

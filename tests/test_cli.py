@@ -3,7 +3,7 @@ import json
 import numpy as np
 from click.testing import CliRunner
 
-from slice_radon import GrayImage, SignSpec, save_pgm, synth_sign
+from slice_radon import GrayImage, SignSpec, load_pgm, save_pgm, synth_sign
 from slice_radon.cli import main
 
 
@@ -69,6 +69,18 @@ def test_synth_spec_file(tmp_path):
                 "--spec-file", str(bad))
         assert r.exit_code == 1 and isinstance(r.exception, SystemExit), spec
         assert r.output.startswith("error: ") and "Traceback" not in r.output, spec
+
+
+def test_synth_target_defaults_to_the_spec_file(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"target_size": 48}))
+    for args, side in (((), 48), (("--target", "0"), 64), (("--target", "16"), 16)):
+        out = tmp_path / f"corpus{side}"
+        r = run("synth", str(out), "--classes", "end_restriction=1", "--spec-file", str(spec),
+                *args)
+        assert r.exit_code == 0, r.output
+        img = load_pgm(next(out.glob("*.pgm")).read_bytes())
+        assert (img.width, img.height) == (side, side), args
 
 
 def test_synth_count_zero_warns(tmp_path):
@@ -171,6 +183,17 @@ def test_bench_cli(tmp_path):
     assert r.exit_code == 0, r.output
     payload = json.loads(out.read_text())
     assert payload["rows"][0]["n"] == 64
+
+
+def test_out_to_a_missing_directory_is_an_error(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert run("synth", str(corpus), "--classes", "end_restriction=2").exit_code == 0
+    missing = tmp_path / "missing"
+    for args in (("eval", str(corpus), "--out", str(missing / "r.json")),
+                 ("bench", "--sizes", "32", "--angles", "2", "--out", str(missing / "b.json"))):
+        r = run(*args)
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit), args
+        assert "error: " in r.output and "Traceback" not in r.output, args
 
 
 def test_bench_rejects_non_pow2():

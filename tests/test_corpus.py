@@ -102,6 +102,15 @@ def test_eval_skips_names_outside_the_corpus(tmp_path):
     assert report.rows[0].total == 2
 
 
+def test_eval_keeps_the_first_row_of_a_repeated_name(tmp_path):
+    rows = generate_corpus(tmp_path, {"end_restriction": 2}, seed=2)
+    manifest = (tmp_path / "labels.csv").read_text()
+    (tmp_path / "labels.csv").write_text(manifest + f"{rows[0][0]},speed_limit\n")
+    report = evaluate_corpus(tmp_path)
+    assert {r.class_label: r.total for r in report.rows} == {"end_restriction": 2}
+    assert len(report.warnings) == 1 and rows[0][0] in report.warnings[0]
+
+
 def test_eval_matches_individual_detections(tmp_path):
     generate_corpus(tmp_path, {"end_restriction": 6, "speed_limit": 6}, seed=11)
     params = DetectorParams()

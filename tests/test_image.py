@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slice_radon import (BadMagic, BadHeader, BadTarget, Degradation, GrayImage,
-                         SignSpec, SpecTooDense, TruncatedData, degrade, load_pgm,
-                         normalize_profile, project_cst, save_pgm, synth_sign,
+                         SignSpec, SliceRadonError, SpecTooDense, TruncatedData, degrade,
+                         load_pgm, normalize_profile, project_cst, save_pgm, synth_sign,
                          find_extrema)
 
 
@@ -40,6 +41,8 @@ def test_load_truncated():
         load_pgm(b"P2\n2 2\n255\n0 1 2")
     with pytest.raises(TruncatedData):
         load_pgm(b"P5\n2 2\n255\n" + b"\x00\x01")
+    with pytest.raises(TruncatedData):  # a negative sample
+        load_pgm(b"P2 4 3 449\n116 80 94 238 -2 7 0 1 2 3 4 5")
 
 
 def test_load_bad_header():
@@ -47,6 +50,21 @@ def test_load_bad_header():
         load_pgm(b"P2\n0 2\n255\n")
     with pytest.raises(BadHeader):
         load_pgm(b"P2\n2 2\n70000\n" + b"0 " * 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(magic=st.sampled_from([b"P2", b"P5"]), width=st.integers(-1, 5),
+       height=st.integers(-1, 5), maxval=st.integers(-1, 70000),
+       samples=st.lists(st.integers(-3, 70000) | st.just(10 ** 400), max_size=30),
+       raw=st.binary(max_size=60), tail=st.binary(max_size=12))
+def test_load_raises_only_slice_radon_errors(magic, width, height, maxval, samples, raw, tail):
+    body = b" ".join(str(v).encode() for v in samples) if magic == b"P2" else raw
+    try:
+        img = load_pgm(magic + f" {width} {height} {maxval}\n".encode() + body + tail)
+    except SliceRadonError:
+        return
+    assert (img.width, img.height) == (width, height)
+    assert 0.0 <= img.pixels.min() and img.pixels.max() <= 1.0
 
 
 def test_save_single_white_pixel():

@@ -156,7 +156,7 @@ def test_slice_nearest_matches_bilinear_on_axis(rng):
 def _dft_slice(values, frame=8):
     values = np.asarray(values, dtype=complex)
     return SpectrumSlice(length=len(values), values=values, angle=0.0,
-                         backend="dft", sample_spacing=1.0, frame=frame)
+                         backend="dft", frame=frame)
 
 
 def test_ramp_weights_length8():
@@ -179,8 +179,7 @@ def test_ramp_twice_is_quadratic():
 
 
 def test_ramp_dct_corner_indexing():
-    slc = SpectrumSlice(length=5, values=np.ones(5), angle=0.0, backend="dct",
-                        sample_spacing=1.0, frame=8)
+    slc = SpectrumSlice(length=5, values=np.ones(5), angle=0.0, backend="dct", frame=8)
     out = ramp_filter(slc)
     assert np.allclose(out.values, [0, 0.25, 0.5, 0.75, 1.0])
 
@@ -211,8 +210,7 @@ def test_inverse_dc_only_slice_is_constant():
 def test_inverse_dct_round_trips_1d_profile(rng):
     g = rng.random(8)
     coeffs = naive_dct1(g)  # built by the brute-force cosine sum
-    slc = SpectrumSlice(length=8, values=coeffs, angle=0.0, backend="dct",
-                        sample_spacing=1.0, frame=8)
+    slc = SpectrumSlice(length=8, values=coeffs, angle=0.0, backend="dct", frame=8)
     assert np.max(np.abs(inverse_slice(slc) - g)) < 1e-9
     assert np.max(np.abs(naive_idct1(coeffs) - g)) < 1e-9
 
