@@ -116,6 +116,8 @@ def main():
               help="JSON file overriding corpus template fields.")
 def synth(out_dir, count, classes, seed, blur_max, noise_max, target, spec_file):
     """Generate a labeled synthetic corpus of PGM images."""
+    if count is not None and count < 0:
+        raise ValueError(f"--count must be at least 0, got {count}")
     counts: dict[str, int] = {}
     names = []
     for part in classes.split(","):

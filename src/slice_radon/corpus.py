@@ -113,11 +113,13 @@ _MAKERS = {
 def generate_corpus(out_dir: str | Path, counts: dict[str, int], seed: int = 0,
                     templates: CorpusTemplates = CorpusTemplates()) -> list[tuple[str, str]]:
     """Write PGMs and labels.csv; returns the manifest rows. Deterministic per seed."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for label in counts:
+    for label, n in counts.items():
         if label not in _MAKERS:
             raise ValueError(f"unknown class label {label!r}")
+        if n < 0:
+            raise ValueError(f"negative count {n} for class {label!r}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     rows: list[tuple[str, str]] = []
     i = 0

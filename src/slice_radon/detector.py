@@ -150,6 +150,17 @@ def find_extrema(p: ProjectionProfile, min_prominence: float) -> list[Extremum]:
     return sorted(out, key=lambda e: e.index)
 
 
+def _vote_dtype(n_votes: int) -> type:
+    """The narrowest accumulator that holds a windowed score of `n_votes`
+    votes per radius: no slab, filtered slab or 3x3x3 window exceeds
+    3 * n_votes, because each vote lands in one cell and a window spans
+    three radii."""
+    bound = 3 * n_votes
+    if bound < 2 ** 16:
+        return np.uint16
+    return np.int32 if bound < 2 ** 31 else np.int64
+
+
 def locate_circle(img: GrayImage, r_min: int, r_max: int) -> Circle | None:
     """Gradient-voting circular Hough transform.
 
@@ -167,6 +178,10 @@ def locate_circle(img: GrayImage, r_min: int, r_max: int) -> Circle | None:
     the sum of the filtered slabs at r - 1, r and r + 1, kept in a rolling
     window of three. Ties resolve as argmax over the volume in C order
     would: the lowest (cy, cx) first, then the lowest r.
+
+    With E edge pixels there are 2 E votes per radius, so no windowed score
+    exceeds 6 E. The slabs are uint16 while 6 E < 2**16 (E below 10 923),
+    int32 while 6 E < 2**31, and int64 beyond; see `_vote_dtype`.
     """
     h, w = img.height, img.width
     if not 1 <= r_min <= r_max <= min(w, h) / 2:
@@ -179,31 +194,44 @@ def locate_circle(img: GrayImage, r_min: int, r_max: int) -> Circle | None:
     mag = np.hypot(gx, gy)
     thr = mag.mean() + mag.std()
     ys, xs = np.nonzero(mag > thr)
-    if len(ys) == 0:
+    n = len(xs)
+    if n == 0:
         return None
     ux = gx[ys, xs] / mag[ys, xs]
     uy = gy[ys, xs] / mag[ys, xs]
-    # Both senses of every gradient ray; r * -u is exactly -(r * u).
-    xs = np.concatenate((xs, xs)).astype(float)
-    ys = np.concatenate((ys, ys)).astype(float)
-    ux = np.concatenate((ux, -ux))
-    uy = np.concatenate((uy, -uy))
+    xs = xs.astype(float)
+    ys = ys.astype(float)
 
-    # Each edge pixel casts at most 2 votes per radius, so no slab, filtered
-    # slab or windowed score exceeds 3 * len(xs) (= 6 * edges).
-    acc = np.int32 if 3 * len(xs) < 2 ** 31 else np.int64
+    acc = _vote_dtype(2 * n)
     wp = w + 2
+    step = np.empty(n)                  # r * u for one axis
+    vx, vy = np.empty(2 * n), np.empty(2 * n)  # landing cells, + then - sense
+    cells = np.empty(2 * n, np.intp)
+    padded = np.empty((h + 2, wp), acc)
     rows = np.empty((h, wp), acc)
 
     def filtered_votes(r: int, out: np.ndarray) -> None:
-        # Votes off the image are clipped onto a one-cell border, which is
-        # then cleared; the cleared border is also the box's zero padding.
-        cx = np.clip(np.floor(xs + r * ux + 0.5), -1, w)
-        cy = np.clip(np.floor(ys + r * uy + 0.5), -1, h)
-        flat = ((cy + 1) * wp + (cx + 1)).astype(np.intp)
-        padded = np.bincount(flat, minlength=(h + 2) * wp).astype(acc).reshape(h + 2, wp)
-        padded[[0, -1]] = 0
-        padded[:, [0, -1]] = 0
+        # The - sense lands at x - r u, which is exactly x + r (-u). Votes
+        # off the image are clipped onto a one-cell border, which is then
+        # cleared; the cleared border is also the box's zero padding.
+        for v, p, u, hi in ((vx, xs, ux, w), (vy, ys, uy, h)):
+            np.multiply(u, r, out=step)
+            np.add(p, step, out=v[:n])
+            np.subtract(p, step, out=v[n:])
+            v += 0.5
+            np.floor(v, out=v)
+            np.clip(v, -1, hi, out=v)
+        # padded cell (cy + 1) * wp + (cx + 1); small integers, exact in float
+        np.multiply(vy, wp, out=vy)
+        np.add(vy, vx, out=vy)
+        np.add(vy, wp + 1, out=vy)
+        np.copyto(cells, vy, casting="unsafe")
+        np.copyto(padded.reshape(-1), np.bincount(cells, minlength=padded.size),
+                  casting="unsafe")
+        padded[0] = 0
+        padded[-1] = 0
+        padded[:, 0] = 0
+        padded[:, -1] = 0
         np.add(padded[:-2], padded[1:-1], out=rows)
         np.add(rows, padded[2:], out=rows)
         np.add(rows[:, :-2], rows[:, 1:-1], out=out)
@@ -255,7 +283,9 @@ def detect_end_of_restriction(img: GrayImage,
     work = img
     if use_crop:
         m = min(img.width, img.height)
-        circle = locate_circle(img, max(6, m // 4), m // 2)
+        r_min, r_max = max(6, m // 4), m // 2
+        # frames under 12 px have no radius to search, so they keep the full frame
+        circle = locate_circle(img, r_min, r_max) if r_min <= r_max else None
         if circle is not None:
             cropped = _crop_to_circle(img, circle)
             if min(cropped.width, cropped.height) >= 8:

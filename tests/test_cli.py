@@ -90,6 +90,24 @@ def test_synth_count_zero_warns(tmp_path):
     assert (out / "labels.csv").exists()
 
 
+def test_synth_rejects_negative_counts(tmp_path):
+    for args in (("--count", "-3"), ("--classes", "end_restriction=-2")):
+        out = tmp_path / "corpus"
+        r = run("synth", str(out), *args)
+        assert r.exit_code == 1, (args, r.output)
+        assert r.output.startswith("error: "), args
+        assert not (out / "labels.csv").exists(), args
+
+
+def test_detect_crop_on_below_12px_keeps_the_frame(tmp_path):
+    # max(6, m // 4) > m // 2 leaves no radius to search
+    p = tmp_path / "tiny.pgm"
+    p.write_bytes(save_pgm(GrayImage.from_array(np.full((10, 10), 0.5))))
+    r = run("detect", "--crop", "on", str(p))
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.output.strip().splitlines()[-1])["circle"] is None
+
+
 def test_detect_positive_exit_10(tmp_path):
     img = _write_fixture(tmp_path / "sign.pgm")
     r = run("detect", str(img))

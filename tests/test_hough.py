@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import draw_ring, hough_gather_oracle, hough_gather_scores
-from slice_radon import BadRadiusRange, GrayImage, locate_circle
+from slice_radon import BadRadiusRange, GrayImage, detector, locate_circle
 
 
 def test_centered_ring_recovered():
@@ -119,9 +119,36 @@ def test_ties_resolve_in_c_order_across_radii():
     assert (c.cy, c.cx, c.radius, c.score) == (5, 5, 4, float(best))
 
 
+def test_vote_dtype_boundaries():
+    # No windowed score exceeds 3 * n_votes; each dtype must hold that bound.
+    cases = ((1, np.uint16), (21844, np.uint16), (21845, np.uint16), (21846, np.int32),
+             (715827882, np.int32), (715827883, np.int64), (2 ** 40, np.int64))
+    for n_votes, want in cases:
+        got = detector._vote_dtype(n_votes)
+        assert got is want, n_votes
+        assert 3 * n_votes <= np.iinfo(got).max, n_votes
+    # the uint16 limit in edge pixels (2 votes each): below 10 923
+    assert detector._vote_dtype(2 * 10922) is np.uint16
+    assert detector._vote_dtype(2 * 10923) is np.int32
+
+
+def test_agrees_with_gather_oracle_above_the_uint16_bound(monkeypatch):
+    # 300 px noise has about 14k edge pixels, past the uint16 slabs' limit.
+    real, chosen = detector._vote_dtype, []
+    monkeypatch.setattr(detector, "_vote_dtype",
+                        lambda n_votes: chosen.append(real(n_votes)) or chosen[-1])
+    img = GrayImage.from_array(np.random.default_rng(5).random((300, 300)))
+    (ocy, ocx, orr), oscore = hough_gather_oracle(img, 1, 3)
+    got = locate_circle(img, 1, 3)
+    assert chosen == [np.int32]
+    assert (got.cy, got.cx, got.radius, got.score) == (ocy, ocx, orr, oscore)
+
+
 def test_memory_is_linear_in_frame_area():
     # A 256 px frame over 65 radii: one h x w x nr int64 accumulator would be
-    # 34 MB; the bound allows 16 h x w slabs of 8 bytes.
+    # 34 MB; the bound allows 7 h x w arrays of 8 bytes. The peak is 3.1 MB,
+    # half of it the float gradients; int32 slabs with per-radius
+    # temporaries peaked at 4.0 MB.
     n = 256
     img = GrayImage.from_array(draw_ring(n, 120, 130, 90, 0.1, 0.9))
     tracemalloc.start()
@@ -131,4 +158,4 @@ def test_memory_is_linear_in_frame_area():
     finally:
         tracemalloc.stop()
     assert c is not None and (c.cx, c.cy, c.radius) == (120, 130, 90)
-    assert peak < 16 * n * n * 8
+    assert peak < 7 * n * n * 8
