@@ -101,30 +101,26 @@ def main():
 @main.command()
 @click.argument("out_dir", type=click.Path(file_okay=False))
 @click.option("--count", type=int, default=None,
-              help="Total image count, split across --classes.")
+              help="Total image count; what the name=count entries leave is "
+                   "split across the other --classes.")
 @click.option("--classes", default=",".join(CLASS_LABELS), show_default=True,
               help="Comma list of class labels, each optionally name=count.")
 @click.option("--seed", type=int, default=0, envvar="SLICE_RADON_SEED", show_default=True)
-@click.option("--blur-max", type=float, default=None,
-              help="Cap the positive-class blur sigma range.")
-@click.option("--noise-max", type=float, default=None,
-              help="Cap the positive-class noise sigma range.")
 @click.option("--target", type=int, default=None,
               help="Downscale target size; 0 keeps full resolution. "
                    "[default: the spec file's target_size, else 20]")
 @click.option("--spec-file", type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON file overriding corpus template fields.")
-def synth(out_dir, count, classes, seed, blur_max, noise_max, target, spec_file):
+def synth(out_dir, count, classes, seed, target, spec_file):
     """Generate a labeled synthetic corpus of PGM images."""
     if count is not None and count < 0:
         raise ValueError(f"--count must be at least 0, got {count}")
     counts: dict[str, int] = {}
     names = []
-    for part in classes.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, map(str.strip, classes.split(","))):
         name, _, n = part.partition("=")
+        if name in counts or name in names:
+            raise ValueError(f"class {name!r} is named twice in --classes")
         if n:
             counts[name] = int(n)
         else:
@@ -132,7 +128,10 @@ def synth(out_dir, count, classes, seed, blur_max, noise_max, target, spec_file)
     if names:
         if count is None:
             raise ValueError("give --count or per-class name=count entries")
-        share, extra = divmod(count, len(names))
+        rest = count - sum(counts.values())
+        if rest < 0:
+            raise ValueError(f"--count {count} is below the name=count total {count - rest}")
+        share, extra = divmod(rest, len(names))
         for i, name in enumerate(names):
             counts[name] = share + (1 if i < extra else 0)
     elif count is not None and count != sum(counts.values()):
@@ -141,10 +140,6 @@ def synth(out_dir, count, classes, seed, blur_max, noise_max, target, spec_file)
     tpl = CorpusTemplates()
     if spec_file:
         tpl = replace(tpl, **_template_overrides(Path(spec_file).read_text()))
-    if blur_max is not None:
-        tpl = replace(tpl, blur=(min(tpl.blur[0], blur_max), blur_max))
-    if noise_max is not None:
-        tpl = replace(tpl, noise=(min(tpl.noise[0], noise_max), noise_max))
     if target is not None:
         tpl = replace(tpl, target_size=None if target == 0 else target)
 

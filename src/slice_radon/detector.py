@@ -12,7 +12,8 @@ length but averages noise away).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 from scipy.signal import find_peaks
@@ -70,37 +71,36 @@ class DetectorParams:
 
     `min_gain` scales the absolute-depth gate: a qualifying minimum must be
     at least min_gain * std(image) * sqrt(profile length) deep before
-    normalization. `crop` is "auto" (Hough crop for frames at least
-    `crop_min_size` wide), "on", or "off".
+    normalization; None takes the backend's default. `crop` is "auto" (Hough
+    crop for frames at least `crop_min_size` wide), "on", or "off". The
+    class constants and `pad()`, the backend's padding factor, are fixed.
     """
 
     backend: str = "dft"
     apply_ramp: bool = False
     min_prominence: float = 0.15
-    right_fraction: float = 0.5
     min_gain: float | None = None
-    pad_factor: int | None = None
-    interp: str = "bilinear"
     crop: str = "auto"
-    crop_min_size: int = 32
+    right_fraction: ClassVar[float] = 0.5
+    interp: ClassVar[str] = "bilinear"
+    crop_min_size: ClassVar[int] = 32
 
     def __post_init__(self):
-        for name, allowed in (("backend", ("dft", "dct")), ("crop", ("auto", "on", "off")),
-                              ("interp", ("bilinear", "nearest"))):
+        for name, allowed in (("backend", ("dft", "dct")), ("crop", ("auto", "on", "off"))):
             if getattr(self, name) not in allowed:
                 raise BadDetectorParams(f"{name} must be one of {', '.join(allowed)}, "
                                         f"got {getattr(self, name)!r}")
-        if self.pad_factor is not None and self.pad_factor < 1:
-            raise BadDetectorParams(f"pad_factor must be at least 1, got {self.pad_factor}")
         if not 0.0 < self.min_prominence <= 1.0:
             raise BadDetectorParams(f"min_prominence must lie in (0, 1], "
                                     f"got {self.min_prominence}")
+        if self.min_gain is not None and not 0.0 <= self.min_gain < np.inf:
+            raise BadDetectorParams(f"min_gain must be finite and >= 0, got {self.min_gain}")
 
     def gain(self) -> float:
         return _GAIN_DEFAULT[self.backend] if self.min_gain is None else self.min_gain
 
     def pad(self) -> int:
-        return _PAD_DEFAULT[self.backend] if self.pad_factor is None else self.pad_factor
+        return _PAD_DEFAULT[self.backend]
 
 
 def project_cst(img: GrayImage, angle: float, backend: str = "dft",
@@ -277,12 +277,9 @@ def detect_end_of_restriction(img: GrayImage,
     if img.width < 8 or img.height < 8:
         raise ImageTooSmall(f"{img.width}x{img.height} below the 8x8 minimum")
 
-    circle = None
-    use_crop = params.crop == "on" or (
-        params.crop == "auto" and min(img.width, img.height) >= params.crop_min_size)
-    work = img
-    if use_crop:
-        m = min(img.width, img.height)
+    circle, work = None, img
+    m = min(img.width, img.height)
+    if params.crop == "on" or (params.crop == "auto" and m >= params.crop_min_size):
         r_min, r_max = max(6, m // 4), m // 2
         # frames under 12 px have no radius to search, so they keep the full frame
         circle = locate_circle(img, r_min, r_max) if r_min <= r_max else None
@@ -332,4 +329,8 @@ def profile_to_csv(p: ProjectionProfile) -> str:
 
 
 def params_to_dict(params: DetectorParams) -> dict:
-    return {**asdict(params), "min_gain": params.gain(), "pad_factor": params.pad()}
+    """The resolved config, constants included, as written to an eval report."""
+    return {"backend": params.backend, "apply_ramp": params.apply_ramp,
+            "min_prominence": params.min_prominence, "right_fraction": params.right_fraction,
+            "min_gain": params.gain(), "pad_factor": params.pad(), "interp": params.interp,
+            "crop": params.crop, "crop_min_size": params.crop_min_size}

@@ -25,8 +25,17 @@ def test_benchmark_attributes_exist():
     assert not missing
 
 
+def test_benchmark_reads_these_detector_params():
+    # replay_detect re-derives the crop, transform and slice from these
+    params = DetectorParams()
+    assert (params.backend, params.apply_ramp, params.min_prominence) == ("dft", False, 0.15)
+    assert (params.crop, params.crop_min_size) == ("auto", 32)
+    assert params.interp == "bilinear"
+    assert params.pad() == 2
+    assert DetectorParams(backend="dct").pad() == 1
+
+
 def test_benchmark_call_signatures():
-    assert DetectorParams().pad() == 2
     project = inspect.signature(detector.project_cst).parameters
     assert {"backend", "apply_ramp", "pad_factor", "interp", "demean"} <= set(project)
     assert "jobs" in inspect.signature(corpus.evaluate_corpus).parameters

@@ -99,6 +99,26 @@ def test_synth_rejects_negative_counts(tmp_path):
         assert not (out / "labels.csv").exists(), args
 
 
+def test_synth_count_is_the_total_with_named_and_unnamed_classes(tmp_path):
+    out = tmp_path / "corpus"
+    r = run("synth", str(out), "--count", "5", "--classes",
+            "end_restriction=2,speed_limit,other_negative")
+    assert r.exit_code == 0, r.output
+    labels = [l.rsplit(",", 1)[1] for l in (out / "labels.csv").read_text().splitlines()]
+    assert sorted(labels) == sorted(["end_restriction"] * 2 + ["speed_limit"] * 2
+                                    + ["other_negative"])
+    for classes in ("end_restriction=2,speed_limit", "end_restriction=1,end_restriction"):
+        r = run("synth", str(tmp_path / "bad"), "--count", "1", "--classes", classes)
+        assert r.exit_code == 1 and r.output.startswith("error: "), (classes, r.output)
+
+
+def test_detect_rejects_a_negative_gain(tmp_path):
+    p = _write_fixture(tmp_path / "s.pgm")
+    r = run("detect", "--gain", "-5", str(p))
+    assert r.exit_code == 1, r.output
+    assert r.output.startswith("error: ")
+
+
 def test_detect_crop_on_below_12px_keeps_the_frame(tmp_path):
     # max(6, m // 4) > m // 2 leaves no radius to search
     p = tmp_path / "tiny.pgm"

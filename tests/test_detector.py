@@ -144,9 +144,9 @@ def test_detect_rejects_tiny_images():
         detect_end_of_restriction(GrayImage.from_array(np.full((4, 4), 0.5)))
 
 
-@pytest.mark.parametrize("bad", [{"backend": "DFT"}, {"crop": "of"}, {"interp": "cubic"},
-                                 {"pad_factor": 0}, {"min_prominence": 0.0},
-                                 {"min_prominence": 1.5}])
+@pytest.mark.parametrize("bad", [{"backend": "DFT"}, {"crop": "of"}, {"min_prominence": 0.0},
+                                 {"min_prominence": 1.5}, {"min_gain": -1.0},
+                                 {"min_gain": float("nan")}, {"min_gain": float("inf")}])
 def test_params_reject_values_outside_their_domain(bad):
     with pytest.raises(BadDetectorParams):
         DetectorParams(**bad)
