@@ -14,8 +14,7 @@ from .errors import (AngleOutOfRange, BadDetectorParams, BadHeader, BadMagic,
                      SliceRadonError, SpecTooDense, TruncatedData)
 from .image import (Degradation, GrayImage, SignSpec, degrade, load_pgm, save_pgm,
                     synth_sign)
-from .transforms import (ComplexSpectrum2D, DctSpectrum2D, SpectrumSlice, dct2, dft2,
-                         extract_slice, idct2, inverse_slice, next_pow2, radon_direct,
-                         ramp_filter, slice_to_csv)
+from .transforms import (Spectrum2D, SpectrumSlice, dct2, dft2, extract_slice,
+                         inverse_slice, next_pow2, radon_direct, ramp_filter, slice_to_csv)
 
 __version__ = "0.1.0"

@@ -81,14 +81,14 @@ def _shape_error(profile_values: np.ndarray, frame: int, direct: np.ndarray) -> 
 
 
 def run_bench(sizes: list[int], num_angles: int, backend: str = "dft",
-              pad_factor: int = 2, seed: int = 0, repeats: int = 3) -> BenchReport:
-    """Time full sinograms and report the worst per-angle shape error.
+              seed: int = 0) -> BenchReport:
+    """Time full sinograms at pad factor 2 and report the worst per-angle
+    shape error.
 
     Sizes must be powers of two in [32, 1024]. Angles are equally spaced
-    over [0, 180). Each path is timed `repeats` times and the best wall
-    time is reported (scheduler noise hits both paths, the minimum is the
-    cleanest estimate); the error computation happens outside the timed
-    sections.
+    over [0, 180). Each path is timed 3 times and the best wall time is
+    reported (scheduler noise hits both paths, the minimum is the cleanest
+    estimate); the error computation happens outside the timed sections.
     """
     for n in sizes:
         if n < 32 or n > 1024 or next_pow2(n) != n:
@@ -101,23 +101,22 @@ def run_bench(sizes: list[int], num_angles: int, backend: str = "dft",
     rows = []
     for n in sizes:
         img = GrayImage.from_array(rng.random((n, n)))
-        p = pad_factor * next_pow2(n)
+        p = 2 * next_pow2(n)
 
         # warm allocator and FFT plan caches so neither path pays cold-start
         radon_direct(img, angles[0], p)
-        cst_sinogram(img, angles[: min(3, len(angles))], backend=backend,
-                     pad_factor=pad_factor)
+        cst_sinogram(img, angles[: min(3, len(angles))], backend=backend)
 
         t_direct = np.inf
-        for _ in range(repeats):
+        for _ in range(3):
             t0 = time.perf_counter()
             direct = [radon_direct(img, a, p) for a in angles]
             t_direct = min(t_direct, time.perf_counter() - t0)
 
         t_cst = np.inf
-        for _ in range(repeats):
+        for _ in range(3):
             t0 = time.perf_counter()
-            profiles = cst_sinogram(img, angles, backend=backend, pad_factor=pad_factor)
+            profiles = cst_sinogram(img, angles, backend=backend)
             t_cst = min(t_cst, time.perf_counter() - t0)
 
         err = max(_shape_error(vals, p, d) for vals, d in zip(profiles, direct))

@@ -154,25 +154,25 @@ def synth(out_dir, count, classes, seed, target, spec_file):
 @click.option("--angle", type=float, required=True, help="Projection angle in degrees.")
 @click.option("--backend", type=_BACKENDS, default="dft", show_default=True)
 @click.option("--ramp/--no-ramp", default=False, show_default=True)
-@click.option("--pad", type=int, default=2, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Profile CSV path (default: stdout).")
 @click.option("--slice-csv", type=click.Path(dir_okay=False), default=None,
               help="Also dump the raw spectrum slice as CSV.")
-def project(image, angle, backend, ramp, pad, out, slice_csv):
-    """Write the normalized projection profile of IMAGE as CSV."""
+def project(image, angle, backend, ramp, out, slice_csv):
+    """Write the normalized projection profile of IMAGE as CSV, from a
+    spectrum padded by 2 for either backend."""
     img = load_pgm(Path(image).read_bytes())
     # mean-free projection: constant backgrounds land on the flat 0.5
     # reference instead of the padded-frame envelope
     prof = normalize_profile(project_cst(img, angle, backend=backend, apply_ramp=ramp,
-                                         pad_factor=pad, demean=True))
+                                         pad_factor=2, demean=True))
     csv = profile_to_csv(prof)
     if out:
         Path(out).write_text(csv)
     else:
         click.echo(csv, nl=False)
     if slice_csv:
-        spec = spectrum(img.math_array(), backend, pad)
+        spec = spectrum(img.math_array(), backend, 2)
         Path(slice_csv).write_text(slice_to_csv(extract_slice(spec, angle)))
 
 

@@ -112,24 +112,24 @@ _MAKERS = {
 
 def generate_corpus(out_dir: str | Path, counts: dict[str, int], seed: int = 0,
                     templates: CorpusTemplates = CorpusTemplates()) -> list[tuple[str, str]]:
-    """Write PGMs and labels.csv; returns the manifest rows. Deterministic per seed."""
+    """Write PGMs and labels.csv; returns the manifest rows. Deterministic per seed.
+
+    Every image is drawn and encoded before the directory is touched, so a
+    template that fails on any image leaves nothing written.
+    """
     for label, n in counts.items():
         if label not in _MAKERS:
             raise ValueError(f"unknown class label {label!r}")
         if n < 0:
             raise ValueError(f"negative count {n} for class {label!r}")
+    rng = np.random.default_rng(seed)
+    labels = [label for label in CLASS_LABELS for _ in range(counts.get(label, 0))]
+    encoded = [save_pgm(_MAKERS[label](rng, templates), binary=True) for label in labels]
+    rows = [(f"{i:05d}_{label}.pgm", label) for i, label in enumerate(labels)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
-    rows: list[tuple[str, str]] = []
-    i = 0
-    for label in CLASS_LABELS:
-        for _ in range(counts.get(label, 0)):
-            img = _MAKERS[label](rng, templates)
-            name = f"{i:05d}_{label}.pgm"
-            (out / name).write_bytes(save_pgm(img, binary=True))
-            rows.append((name, label))
-            i += 1
+    for (name, _), data in zip(rows, encoded):
+        (out / name).write_bytes(data)
     manifest = "".join(f"{name},{label}\n" for name, label in rows)
     (out / "labels.csv").write_text(manifest, encoding="ascii")
     return rows

@@ -28,9 +28,6 @@ class ProjectionProfile:
     """1D projection samples indexed by signed distance from the image center."""
 
     values: np.ndarray
-    angle: float
-    backend: str  # "dft" | "dct" | "direct"
-    filtered: bool = False
     normalized: bool = False
 
 
@@ -117,8 +114,7 @@ def project_cst(img: GrayImage, angle: float, backend: str = "dft",
     slc = extract_slice(spectrum(arr, backend, pad_factor), angle, interp)
     if apply_ramp:
         slc = ramp_filter(slc)
-    return ProjectionProfile(values=inverse_slice(slc), angle=angle,
-                             backend=backend, filtered=apply_ramp)
+    return ProjectionProfile(inverse_slice(slc))
 
 
 def normalize_profile(p: ProjectionProfile) -> ProjectionProfile:

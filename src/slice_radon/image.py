@@ -47,10 +47,6 @@ class GrayImage:
         """Pixels in y-up orientation: row index increases with y."""
         return self.pixels[::-1]
 
-    def allclose(self, other: "GrayImage", atol: float = 0.0) -> bool:
-        return (self.width == other.width and self.height == other.height
-                and np.allclose(self.pixels, other.pixels, rtol=0.0, atol=atol))
-
 
 @dataclass(frozen=True)
 class SignSpec:
@@ -103,6 +99,8 @@ class Degradation:
     def __post_init__(self):
         if self.gaussian_blur_sigma < 0 or self.noise_sigma < 0:
             raise ValueError("sigmas must be >= 0")
+        if self.target_size is not None and self.target_size < 1:
+            raise ValueError(f"target_size must be None or >= 1, got {self.target_size}")
 
 
 # --- PGM ---------------------------------------------------------------

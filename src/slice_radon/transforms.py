@@ -36,47 +36,44 @@ def next_pow2(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class ComplexSpectrum2D:
-    """Centered 2D DFT bins; bins[fy + H//2, fx + W//2] holds frequency (fx, fy)."""
+class Spectrum2D:
+    """2D spectrum of one backend, shape (height, width).
 
-    width: int
-    height: int
-    bins: np.ndarray  # complex, shape (height, width)
+    "dft": complex bins, centered; values[fy + H//2, fx + W//2] holds
+    frequency (fx, fy). "dct": real orthonormal DCT-II coefficients with
+    (0, 0) the low-frequency corner.
+    """
+
+    backend: str  # "dft" | "dct"
+    values: np.ndarray
 
     @property
-    def dc(self) -> complex:
-        return self.bins[self.height // 2, self.width // 2]
+    def width(self) -> int:
+        return self.values.shape[1]
 
-
-@dataclass(frozen=True)
-class DctSpectrum2D:
-    """Orthonormal 2D DCT-II coefficients; (0, 0) is the low-frequency corner."""
-
-    width: int
-    height: int
-    coeffs: np.ndarray  # real, shape (height, width)
+    @property
+    def height(self) -> int:
+        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
 class SpectrumSlice:
-    """1D sample run through the spectral origin.
+    """1D sample run through the spectral origin, one bin (one cycle per
+    padded frame) apart.
 
     DFT backend: complex samples in both directions, DC at index
     length // 2, signed frequency of bin k is k - length // 2.
     DCT backend: real samples from the corner origin outward, frequency of
     bin k is k; the even reflection implied by the DCT makes this the
     symmetric slice's nonnegative half.
-
-    Samples are one spectral bin (one cycle per padded frame) apart, and
-    `frame` is that padded frame size in pixels, which fixes the spatial
-    sample spacing frame / length of the inverse.
     """
 
-    length: int
-    values: np.ndarray
-    angle: float
     backend: str  # "dft" | "dct"
-    frame: int
+    values: np.ndarray
+
+    @property
+    def length(self) -> int:
+        return len(self.values)
 
     @property
     def dc_index(self) -> int:
@@ -104,8 +101,7 @@ def _center_pad(arr: np.ndarray, ph: int, pw: int, mode: str) -> np.ndarray:
     return np.pad(arr, ((oy, ph - h - oy), (ox, pw - w - ox)), mode="edge")
 
 
-def spectrum(arr_yup: np.ndarray, backend: str,
-             pad_factor: int = 1) -> ComplexSpectrum2D | DctSpectrum2D:
+def spectrum(arr_yup: np.ndarray, backend: str, pad_factor: int = 1) -> Spectrum2D:
     """2D spectrum of a y-up float array under `backend`, "dft" or "dct".
 
     The DFT zero-pads and is centered and phase referenced to the image
@@ -114,35 +110,25 @@ def spectrum(arr_yup: np.ndarray, backend: str,
     ph, pw = _padded_shape(*arr_yup.shape, pad_factor)
     if backend == "dft":
         pad = _center_pad(arr_yup, ph, pw, "zero")
-        bins = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(pad)))
-        return ComplexSpectrum2D(width=pw, height=ph, bins=bins)
+        return Spectrum2D("dft", np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(pad))))
     if backend == "dct":
         pad = _center_pad(arr_yup, ph, pw, "edge")
-        return DctSpectrum2D(width=pw, height=ph, coeffs=sfft.dctn(pad, type=2, norm="ortho"))
+        return Spectrum2D("dct", sfft.dctn(pad, type=2, norm="ortho"))
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def dft2(img: GrayImage, pad_factor: int = 1) -> ComplexSpectrum2D:
+def dft2(img: GrayImage, pad_factor: int = 1) -> Spectrum2D:
     """Forward 2D DFT, centered, phase referenced to the image center."""
     return spectrum(img.math_array().astype(float), "dft", pad_factor)
 
 
-def dct2(img: GrayImage, pad_factor: int = 1) -> DctSpectrum2D:
+def dct2(img: GrayImage, pad_factor: int = 1) -> Spectrum2D:
     """Separable orthonormal 2D DCT-II with edge-replicating pad."""
     return spectrum(img.math_array().astype(float), "dct", pad_factor)
 
 
-def idct2(spec: DctSpectrum2D) -> np.ndarray:
-    """Inverse of dct2 (padded frame, y-up orientation)."""
-    return sfft.idctn(spec.coeffs, type=2, norm="ortho")
-
-
-def _interp2(field: np.ndarray, ix: np.ndarray, iy: np.ndarray, interp: str) -> np.ndarray:
+def _bilinear(field: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
     h, w = field.shape
-    if interp == "nearest":
-        return field[np.floor(iy + 0.5).astype(int), np.floor(ix + 0.5).astype(int)]
-    if interp != "bilinear":
-        raise ValueError(f"unknown interpolation {interp!r}")
     x0 = np.clip(np.floor(ix).astype(int), 0, w - 2)
     y0 = np.clip(np.floor(iy).astype(int), 0, h - 2)
     fx, fy = ix - x0, iy - y0
@@ -165,19 +151,21 @@ def _ray_extent(w: int, h: int, c: float, s: float, cx: float, cy: float) -> tup
     return t_lo, t_hi
 
 
-def extract_slice(spec: ComplexSpectrum2D | DctSpectrum2D, angle: float,
-                  interp: str = "bilinear") -> SpectrumSlice:
+def extract_slice(spec: Spectrum2D, angle: float, interp: str = "bilinear") -> SpectrumSlice:
     """Sample the spectrum along the origin line in direction (cos a, sin a).
 
     Samples sit at unit bin spacing, as many as fit inside the spectral
     support. DFT spectra are sampled in both directions with the DC sample
     landing at index length // 2; DCT spectra only index nonnegative
     frequencies, so the slice runs from the corner outward (angles above
-    90 degrees fold onto the mirrored direction).
+    90 degrees fold onto the mirrored direction). Samples are read
+    bilinearly, the only `interp`.
     """
     _check_angle(angle)
+    if interp != "bilinear":
+        raise ValueError(f"unknown interpolation {interp!r}")
     th = np.deg2rad(angle)
-    if isinstance(spec, ComplexSpectrum2D):
+    if spec.backend == "dft":
         c, s = np.cos(th), np.sin(th)
         cx, cy = spec.width // 2, spec.height // 2
         t_lo, t_hi = _ray_extent(spec.width, spec.height, c, s, cx, cy)
@@ -186,15 +174,11 @@ def extract_slice(spec: ComplexSpectrum2D | DctSpectrum2D, angle: float,
         n_pos = min(int(np.floor(t_hi + 1e-9)), int(np.floor(-t_lo + 1e-9)))
         n_neg = min(int(np.floor(-t_lo + 1e-9)), n_pos + 1)
         t = np.arange(-n_neg, n_pos + 1, dtype=float)
-        vals = _interp2(spec.bins, cx + t * c, cy + t * s, interp)
-        return SpectrumSlice(length=len(t), values=vals, angle=angle, backend="dft",
-                             frame=spec.width)
+        return SpectrumSlice("dft", _bilinear(spec.values, cx + t * c, cy + t * s))
     c, s = abs(np.cos(th)), np.sin(th)
     _, t_hi = _ray_extent(spec.width, spec.height, c, s, 0.0, 0.0)
     t = np.arange(0, int(np.floor(t_hi + 1e-9)) + 1, dtype=float)
-    vals = _interp2(spec.coeffs, t * c, t * s, interp)
-    return SpectrumSlice(length=len(t), values=vals, angle=angle, backend="dct",
-                         frame=spec.width)
+    return SpectrumSlice("dct", _bilinear(spec.values, t * c, t * s))
 
 
 def ramp_filter(slc: SpectrumSlice) -> SpectrumSlice:
@@ -212,8 +196,9 @@ def inverse_slice(slc: SpectrumSlice) -> np.ndarray:
     """Back to the spatial domain: 1D inverse DFT (1/N) or DCT-III.
 
     Output sample i sits at signed distance R = (i - L//2) * frame / L from
-    the image center (exact for the DFT backend; the DCT backend shares the
-    mapping up to its approximation).
+    the image center, where frame is the padded width of the sliced
+    spectrum (exact for the DFT backend; the DCT backend shares the mapping
+    up to its approximation).
     """
     if slc.backend == "dft":
         raw = np.fft.ifft(np.fft.ifftshift(slc.values))

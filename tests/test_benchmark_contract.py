@@ -7,6 +7,8 @@ without failing any other test.
 
 import inspect
 
+import numpy as np
+
 from slice_radon import DetectorParams, bench, corpus, detector, image, transforms
 
 USED_BY_BENCHMARK = {
@@ -39,3 +41,14 @@ def test_benchmark_call_signatures():
     project = inspect.signature(detector.project_cst).parameters
     assert {"backend", "apply_ramp", "pad_factor", "interp", "demean"} <= set(project)
     assert "jobs" in inspect.signature(corpus.evaluate_corpus).parameters
+
+
+def test_benchmark_reads_these_record_fields():
+    # replay_detect counts points and samples from these, then compares profiles
+    img = image.GrayImage.from_array(np.linspace(0.0, 1.0, 400).reshape(20, 20))
+    for transform, pad, side in ((transforms.dct2, 1, 32), (transforms.dft2, 2, 64)):
+        spec = transform(img, pad)
+        assert (spec.width, spec.height) == (side, side)
+    slc = transforms.extract_slice(spec, 45.0, "bilinear")  # interp passed positionally
+    assert slc.length == len(slc.values) == 88
+    assert len(detector.detect_end_of_restriction(img).profile.values) == 88

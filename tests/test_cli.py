@@ -83,6 +83,40 @@ def test_synth_target_defaults_to_the_spec_file(tmp_path):
         assert (img.width, img.height) == (side, side), args
 
 
+def test_synth_rejects_a_target_below_one(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"target_size": 0}))
+    for args in (("--spec-file", str(spec)), ("--target", "-2")):
+        r = run("synth", str(tmp_path / "corpus"), "--count", "3", *args)
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit), (args, r.output)
+        assert r.output.startswith("error: ") and "target_size" in r.output, args
+        assert "Traceback" not in r.output, args
+
+
+def _failing_spec(tmp_path):
+    # the positives draw fine, then the first speed_limit image fails
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"neg_noise": [-1, -0.5]}))
+    return str(spec)
+
+
+def test_failed_synth_creates_no_directory(tmp_path):
+    out = tmp_path / "corpus"
+    r = run("synth", str(out), "--count", "30", "--spec-file", _failing_spec(tmp_path))
+    assert r.exit_code == 1 and r.output.startswith("error: "), r.output
+    assert not out.exists()
+
+
+def test_failed_synth_leaves_an_existing_corpus_as_it_was(tmp_path):
+    out = tmp_path / "corpus"
+    assert run("synth", str(out), "--count", "30", "--seed", "1").exit_code == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    r = run("synth", str(out), "--count", "30", "--seed", "2",
+            "--spec-file", _failing_spec(tmp_path))
+    assert r.exit_code == 1, r.output
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_synth_count_zero_warns(tmp_path):
     out = tmp_path / "corpus"
     r = run("synth", str(out), "--classes", "end_restriction=0")

@@ -11,8 +11,7 @@ from slice_radon import (BadDetectorParams, Degradation, DetectorParams, GrayIma
 
 
 def _profile(values, normalized=True):
-    return ProjectionProfile(values=np.asarray(values, dtype=float), angle=45.0,
-                             backend="dft", normalized=normalized)
+    return ProjectionProfile(np.asarray(values, dtype=float), normalized=normalized)
 
 
 # --- normalize_profile -----------------------------------------------------
@@ -72,7 +71,7 @@ def test_extrema_too_short():
 
 def test_extrema_monotone_in_prominence(rng):
     p = _profile(np.abs(np.sin(np.linspace(0, 20, 100))) * rng.random(100))
-    p = normalize_profile(ProjectionProfile(p.values, 45.0, "dft"))
+    p = normalize_profile(ProjectionProfile(p.values))
     counts = [len(find_extrema(p, t)) for t in (0.05, 0.1, 0.2, 0.4, 0.8)]
     assert counts == sorted(counts, reverse=True)
 
@@ -96,13 +95,7 @@ def test_project_uniform_matches_radon(uniform_image):
     prof = project_cst(uniform_image, 0.0, backend="dft")
     want = radon_direct(uniform_image, 0.0, len(prof.values))
     assert np.max(np.abs(prof.values - want)) < 1e-6
-    assert prof.backend == "dft" and not prof.filtered and not prof.normalized
-
-
-def test_project_flags_ramp():
-    img = synth_sign(SignSpec())
-    prof = project_cst(img, 45.0, backend="dct", apply_ramp=True)
-    assert prof.filtered and prof.backend == "dct"
+    assert not prof.normalized
 
 
 def test_project_demean_equivariance(five_stripe_sign):
