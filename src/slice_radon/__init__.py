@@ -8,7 +8,7 @@ from .corpus import (CLASS_LABELS, POSITIVE_CLASS, ClassRow, CorpusReport,
 from .detector import (Circle, DetectionResult, DetectorParams, Extremum,
                        ProjectionProfile, detect_end_of_restriction, find_extrema,
                        locate_circle, normalize_profile, profile_to_csv, project_cst,
-                       result_to_dict, result_to_json)
+                       result_to_dict)
 from .errors import (AngleOutOfRange, BadDetectorParams, BadHeader, BadMagic,
                      BadRadiusRange, BadTarget, EmptyCorpus, ImageTooSmall, ProfileTooShort,
                      SliceRadonError, SpecTooDense, TruncatedData)

@@ -27,6 +27,8 @@ def cst_sinogram(img: GrayImage, angles: list[float], backend: str = "dft",
     angle; the spectrum is computed once and reused, which is where the
     slice route earns its speed on many-angle sinograms.
     """
+    if backend not in ("dft", "dct"):
+        raise ValueError(f"unknown backend {backend!r}")
     spec = dft2(img, pad_factor) if backend == "dft" else dct2(img, pad_factor)
     return [inverse_slice(extract_slice(spec, a)) for a in angles]
 
@@ -45,11 +47,8 @@ class BenchReport:
     rows: list[BenchRow]
     backend: str
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "BenchReport":

@@ -19,7 +19,7 @@ import click
 from .bench import run_bench
 from .corpus import (CLASS_LABELS, CorpusTemplates, evaluate_corpus, generate_corpus)
 from .detector import (DetectorParams, detect_end_of_restriction, normalize_profile,
-                       profile_to_csv, project_cst, result_to_json)
+                       profile_to_csv, project_cst, result_to_dict)
 from .errors import SliceRadonError
 from .image import load_pgm
 from .transforms import extract_slice, slice_to_csv, spectrum
@@ -105,13 +105,11 @@ def main():
                    "split across the other --classes.")
 @click.option("--classes", default=",".join(CLASS_LABELS), show_default=True,
               help="Comma list of class labels, each optionally name=count.")
-@click.option("--seed", type=int, default=0, envvar="SLICE_RADON_SEED", show_default=True)
-@click.option("--target", type=int, default=None,
-              help="Downscale target size; 0 keeps full resolution. "
-                   "[default: the spec file's target_size, else 20]")
+@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--spec-file", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="JSON file overriding corpus template fields.")
-def synth(out_dir, count, classes, seed, target, spec_file):
+              help="JSON file overriding corpus template fields, such as "
+                   "target_size (default 20, null for full resolution).")
+def synth(out_dir, count, classes, seed, spec_file):
     """Generate a labeled synthetic corpus of PGM images."""
     if count is not None and count < 0:
         raise ValueError(f"--count must be at least 0, got {count}")
@@ -140,8 +138,6 @@ def synth(out_dir, count, classes, seed, target, spec_file):
     tpl = CorpusTemplates()
     if spec_file:
         tpl = replace(tpl, **_template_overrides(Path(spec_file).read_text()))
-    if target is not None:
-        tpl = replace(tpl, target_size=None if target == 0 else target)
 
     rows = generate_corpus(out_dir, counts, seed=seed, templates=tpl)
     if not rows:
@@ -182,7 +178,7 @@ def project(image, angle, backend, ramp, out, slice_csv):
 def detect(image, params):
     """Classify IMAGE; exit 10 if positive, 0 if negative, 1 on error."""
     res = detect_end_of_restriction(load_pgm(Path(image).read_bytes()), params)
-    click.echo(result_to_json(res))
+    click.echo(json.dumps(result_to_dict(res)))
     sys.exit(10 if res.positive else 0)
 
 
@@ -206,7 +202,7 @@ def eval_cmd(corpus_dir, params, out):
               help="Comma list of image sizes (powers of two in [32, 1024]).")
 @click.option("--angles", type=int, default=180, show_default=True)
 @click.option("--backend", type=_BACKENDS, default="dft", show_default=True)
-@click.option("--seed", type=int, default=0, envvar="SLICE_RADON_SEED", show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def bench(sizes, angles, backend, seed, out):
     """Time direct Radon vs the spectrum-slice route over full sinograms."""

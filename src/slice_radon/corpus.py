@@ -20,7 +20,6 @@ from .errors import EmptyCorpus
 from .image import Degradation, GrayImage, SignSpec, degrade, load_pgm, save_pgm, synth_sign
 
 POSITIVE_CLASS = "end_restriction"
-CLASS_LABELS = ("end_restriction", "speed_limit", "other_negative")
 
 
 @dataclass(frozen=True)
@@ -39,6 +38,9 @@ class CorpusTemplates:
     neg_blur: tuple[float, float] = (0.2, 0.8)
     neg_noise: tuple[float, float] = (0.01, 0.06)
     diagonal_stroke_fraction: float = 0.25
+
+    def __post_init__(self):
+        Degradation(target_size=self.target_size)  # rejects a bad target before any draw
 
 
 def _u(rng, lohi):
@@ -108,6 +110,7 @@ _MAKERS = {
     "speed_limit": _make_speed_limit,
     "other_negative": _make_other_negative,
 }
+CLASS_LABELS = tuple(_MAKERS)
 
 
 def generate_corpus(out_dir: str | Path, counts: dict[str, int], seed: int = 0,
@@ -118,7 +121,7 @@ def generate_corpus(out_dir: str | Path, counts: dict[str, int], seed: int = 0,
     template that fails on any image leaves nothing written.
     """
     for label, n in counts.items():
-        if label not in _MAKERS:
+        if label not in CLASS_LABELS:
             raise ValueError(f"unknown class label {label!r}")
         if n < 0:
             raise ValueError(f"negative count {n} for class {label!r}")
@@ -167,11 +170,8 @@ class CorpusReport:
     config: dict
     warnings: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "CorpusReport":

@@ -11,7 +11,6 @@ length but averages noise away).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -34,7 +33,6 @@ class ProjectionProfile:
 @dataclass(frozen=True)
 class Extremum:
     index: int
-    value: float
     kind: str  # "min" | "max"
     prominence: float
 
@@ -49,12 +47,15 @@ class Circle:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    positive: bool
     profile: ProjectionProfile
     minima: list[Extremum]
     circle: Circle | None
     decision_score: float
     backend: str
+
+    @property
+    def positive(self) -> bool:
+        return self.decision_score > 0.0
 
 
 # Calibrated on the synthetic 20x20 corpus; see the acceptance suite.
@@ -141,7 +142,7 @@ def find_extrema(p: ProjectionProfile, min_prominence: float) -> list[Extremum]:
     out: list[Extremum] = []
     for sign, kind in ((1.0, "max"), (-1.0, "min")):
         idx, props = find_peaks(sign * v, prominence=min_prominence)
-        out.extend(Extremum(int(i), float(v[i]), kind, float(pr))
+        out.extend(Extremum(int(i), kind, float(pr))
                    for i, pr in zip(idx, props["prominences"]))
     return sorted(out, key=lambda e: e.index)
 
@@ -297,8 +298,8 @@ def detect_end_of_restriction(img: GrayImage,
     for e in minima:
         if e.index >= cut and e.prominence * span >= floor_abs:
             score = max(score, e.prominence)
-    return DetectionResult(positive=score > 0.0, profile=prof, minima=minima,
-                           circle=circle, decision_score=score, backend=params.backend)
+    return DetectionResult(profile=prof, minima=minima, circle=circle, decision_score=score,
+                           backend=params.backend)
 
 
 # --- serialization -------------------------------------------------------
@@ -312,10 +313,6 @@ def result_to_dict(res: DetectionResult) -> dict:
                    {"cx": res.circle.cx, "cy": res.circle.cy, "r": res.circle.radius}),
         "backend": res.backend,
     }
-
-
-def result_to_json(res: DetectionResult) -> str:
-    return json.dumps(result_to_dict(res))
 
 
 def profile_to_csv(p: ProjectionProfile) -> str:

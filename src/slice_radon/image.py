@@ -20,28 +20,29 @@ from .errors import BadHeader, BadMagic, BadTarget, SpecTooDense, TruncatedData
 class GrayImage:
     """2D intensity raster, values in [0, 1], row-major with the top row first."""
 
-    width: int
-    height: int
     pixels: np.ndarray  # shape (height, width), float64
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be >= 1")
         px = np.asarray(self.pixels, dtype=float)
-        if px.shape != (self.height, self.width):
-            raise ValueError(f"pixel array shape {px.shape} does not match "
-                             f"{self.height}x{self.width}")
+        if px.ndim != 2 or px.size == 0:
+            raise ValueError(f"pixels must be a non-empty 2D array, got shape {px.shape}")
         if not np.all((px >= 0.0) & (px <= 1.0)):
             raise ValueError("intensities must lie in [0, 1]")
         px = np.ascontiguousarray(px)
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "GrayImage":
-        arr = np.asarray(arr, dtype=float)
-        h, w = arr.shape
-        return cls(width=w, height=h, pixels=arr)
+        return cls(arr)
 
     def math_array(self) -> np.ndarray:
         """Pixels in y-up orientation: row index increases with y."""
@@ -99,8 +100,9 @@ class Degradation:
     def __post_init__(self):
         if self.gaussian_blur_sigma < 0 or self.noise_sigma < 0:
             raise ValueError("sigmas must be >= 0")
-        if self.target_size is not None and self.target_size < 1:
-            raise ValueError(f"target_size must be None or >= 1, got {self.target_size}")
+        t = self.target_size
+        if t is not None and not (isinstance(t, int) and t >= 1):
+            raise ValueError(f"target_size must be None or an int >= 1, got {t!r}")
 
 
 # --- PGM ---------------------------------------------------------------
@@ -169,7 +171,7 @@ def load_pgm(data: bytes) -> GrayImage:
         dtype = ">u2" if per == 2 else np.uint8
         values = np.frombuffer(raw, dtype=dtype).astype(float)
     values = np.minimum(values, maxval) / maxval
-    return GrayImage(width, height, values.reshape(height, width))
+    return GrayImage(values.reshape(height, width))
 
 
 def save_pgm(img: GrayImage, binary: bool = False) -> bytes:
@@ -213,7 +215,7 @@ def synth_sign(spec: SignSpec) -> GrayImage:
         cov = np.maximum(cov, np.clip(1.5 - np.abs(dist - ring_r), 0.0, 1.0))
 
     field = spec.background + cov * (spec.foreground - spec.background)
-    return GrayImage(size, size, field[::-1])  # back to top-row-first
+    return GrayImage(field[::-1])  # back to top-row-first
 
 
 def _area_average_matrix(src: int, dst: int) -> np.ndarray:

@@ -16,7 +16,6 @@ Conventions, fixed once:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,8 +23,6 @@ from scipy import fft as sfft
 
 from .errors import AngleOutOfRange
 from .image import GrayImage
-
-log = logging.getLogger(__name__)
 
 
 def next_pow2(n: int) -> int:
@@ -201,11 +198,7 @@ def inverse_slice(slc: SpectrumSlice) -> np.ndarray:
     up to its approximation).
     """
     if slc.backend == "dft":
-        raw = np.fft.ifft(np.fft.ifftshift(slc.values))
-        out = np.fft.fftshift(raw)
-        worst = float(np.max(np.abs(out.imag))) if len(out) else 0.0
-        log.debug("inverse_slice: max |imag| = %.3e", worst)
-        return np.real(out)
+        return np.real(np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(slc.values))))
     return sfft.idct(slc.values, type=2, norm="ortho")
 
 

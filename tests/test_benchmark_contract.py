@@ -52,3 +52,23 @@ def test_benchmark_reads_these_record_fields():
     slc = transforms.extract_slice(spec, 45.0, "bilinear")  # interp passed positionally
     assert slc.length == len(slc.values) == 88
     assert len(detector.detect_end_of_restriction(img).profile.values) == 88
+
+
+def test_benchmark_reads_these_result_and_report_fields(tmp_path):
+    # frames-256 builds frames with from_array and checks result_to_dict's keys;
+    # corpus-20 gates on the report rows; replay_detect compares these fields
+    img = image.GrayImage.from_array(np.linspace(0.0, 1.0, 600).reshape(20, 30))
+    assert (img.width, img.height, img.pixels.shape) == (30, 20, (20, 30))
+    assert np.array_equal(img.math_array(), img.pixels[::-1])
+    res = detector.detect_end_of_restriction(img)
+    assert isinstance(res.positive, bool) and res.circle is None
+    assert len(res.profile.values) > 0
+    assert all(e.kind == "min" for e in res.minima)
+    assert set(detector.result_to_dict(res)) == {"positive", "score", "minima", "circle",
+                                                 "backend"}
+    corpus.generate_corpus(tmp_path, {"end_restriction": 1, "other_negative": 1}, seed=1)
+    report = corpus.evaluate_corpus(tmp_path, jobs=1)
+    assert report.warnings == [] and 0.0 <= report.false_positive_rate <= 1.0
+    for row in report.rows:
+        assert row.class_label in corpus.CLASS_LABELS
+        assert row.rate == row.positives_detected / row.total

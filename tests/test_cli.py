@@ -44,18 +44,6 @@ def test_synth_deterministic_across_runs(tmp_path):
         assert fa.read_bytes() == (b / fa.name).read_bytes()
 
 
-def test_synth_seed_from_environment(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    runner = CliRunner()
-    r1 = runner.invoke(main, ["synth", str(a), "--classes", "end_restriction=2"],
-                       env={"SLICE_RADON_SEED": "31"})
-    r2 = runner.invoke(main, ["synth", str(b), "--classes", "end_restriction=2",
-                              "--seed", "31"])
-    assert r1.exit_code == 0 and r2.exit_code == 0
-    for fa in sorted(a.glob("*.pgm")):
-        assert fa.read_bytes() == (b / fa.name).read_bytes()
-
-
 def test_synth_spec_file(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"duty": 0.4, "stripe_widths": [4], "target_size": None}))
@@ -73,24 +61,31 @@ def test_synth_spec_file(tmp_path):
 
 def test_synth_target_defaults_to_the_spec_file(tmp_path):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"target_size": 48}))
-    for args, side in (((), 48), (("--target", "0"), 64), (("--target", "16"), 16)):
+    for target, side in ((48, 48), (None, 64)):
+        spec.write_text(json.dumps({"target_size": target}))
         out = tmp_path / f"corpus{side}"
-        r = run("synth", str(out), "--classes", "end_restriction=1", "--spec-file", str(spec),
-                *args)
+        r = run("synth", str(out), "--classes", "end_restriction=1", "--spec-file", str(spec))
         assert r.exit_code == 0, r.output
         img = load_pgm(next(out.glob("*.pgm")).read_bytes())
-        assert (img.width, img.height) == (side, side), args
+        assert (img.width, img.height) == (side, side), target
+    r = run("synth", str(tmp_path / "default"), "--classes", "end_restriction=1")
+    assert r.exit_code == 0, r.output
+    assert load_pgm(next((tmp_path / "default").glob("*.pgm")).read_bytes()).width == 20
 
 
 def test_synth_rejects_a_target_below_one(tmp_path):
+    # checked before any image is drawn, so the seed and the class mix do not matter
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"target_size": 0}))
-    for args in (("--spec-file", str(spec)), ("--target", "-2")):
-        r = run("synth", str(tmp_path / "corpus"), "--count", "3", *args)
-        assert r.exit_code == 1 and isinstance(r.exception, SystemExit), (args, r.output)
-        assert r.output.startswith("error: ") and "target_size" in r.output, args
-        assert "Traceback" not in r.output, args
+    runs = [("--count", "3"), ("--count", "0")]
+    runs += [("--classes", "other_negative=1", "--seed", str(seed)) for seed in range(8)]
+    for target in (0, -2):
+        spec.write_text(json.dumps({"target_size": target}))
+        for args in runs:
+            out = tmp_path / "corpus"
+            r = run("synth", str(out), "--spec-file", str(spec), *args)
+            assert r.exit_code == 1 and isinstance(r.exception, SystemExit), (target, args)
+            assert r.output.startswith("error: ") and "target_size" in r.output, (target, args)
+            assert "Traceback" not in r.output and not out.exists(), (target, args)
 
 
 def _failing_spec(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slice_radon import (BenchReport, CorpusReport, CorpusTemplates, DetectorParams,
-                         EmptyCorpus, evaluate_corpus, generate_corpus, load_pgm,
+                         EmptyCorpus, GrayImage, evaluate_corpus, generate_corpus, load_pgm,
                          read_manifest, run_bench, detect_end_of_restriction)
 from slice_radon.bench import cst_sinogram
 from slice_radon import project_cst
@@ -32,6 +32,14 @@ def test_generate_count_zero(tmp_path):
     rows = generate_corpus(tmp_path, {"end_restriction": 0}, seed=1)
     assert rows == []
     assert (tmp_path / "labels.csv").read_text() == ""
+
+
+def test_templates_check_the_target_size():
+    for ok in (None, 1, 20):
+        assert CorpusTemplates(target_size=ok).target_size == ok
+    for bad in (0, -2, 2.5, "20"):
+        with pytest.raises(ValueError, match="target_size"):
+            CorpusTemplates(target_size=bad)
 
 
 def test_eval_undegraded_positives_all_detected(tmp_path):
@@ -138,7 +146,7 @@ def test_corpus_report_round_trip(tmp_path):
     generate_corpus(tmp_path, {"end_restriction": 2, "other_negative": 2}, seed=8)
     report = evaluate_corpus(tmp_path)
     again = CorpusReport.from_json(report.to_json())
-    assert again.to_dict() == report.to_dict()
+    assert again == report
     for row in again.rows:
         assert 0.0 <= row.rate <= 1.0
         assert row.rate == pytest.approx(row.positives_detected / row.total)
@@ -166,10 +174,19 @@ def test_bench_rejects_bad_sizes():
             run_bench(bad, 4)
 
 
+def test_bench_rejects_an_unknown_backend():
+    img = GrayImage.from_array(np.full((32, 32), 0.5))
+    for backend in ("DFT", "fft", ""):
+        with pytest.raises(ValueError, match="backend"):
+            cst_sinogram(img, [45.0], backend=backend)
+        with pytest.raises(ValueError, match="backend"):
+            run_bench([32], 4, backend=backend)
+
+
 def test_bench_report_round_trip():
     report = run_bench([32], 2, seed=0)
     again = BenchReport.from_json(report.to_json())
-    assert again.to_dict() == report.to_dict()
+    assert again == report
 
 
 def test_cst_sinogram_matches_project_cst(rng):

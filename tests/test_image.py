@@ -67,13 +67,21 @@ def test_load_raises_only_slice_radon_errors(magic, width, height, maxval, sampl
     assert 0.0 <= img.pixels.min() and img.pixels.max() <= 1.0
 
 
+def test_image_size_is_the_pixel_shape():
+    img = GrayImage(np.zeros((2, 3)))
+    assert (img.width, img.height) == (3, 2)
+    for bad in (np.zeros(4), np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="non-empty 2D"):
+            GrayImage(bad)
+
+
 def test_save_single_white_pixel():
-    data = save_pgm(GrayImage(1, 1, np.array([[1.0]])))
+    data = save_pgm(GrayImage(np.array([[1.0]])))
     assert data.split() == [b"P2", b"1", b"1", b"255", b"255"]
 
 
 def test_save_binary_rounding():
-    data = save_pgm(GrayImage(2, 1, np.array([[0.0, 0.5]])), binary=True)
+    data = save_pgm(GrayImage(np.array([[0.0, 0.5]])), binary=True)
     header, raster = data[:-2], data[-2:]
     assert header.startswith(b"P5")
     assert raster[0] == 0x00 and raster[1] in (0x7F, 0x80)
