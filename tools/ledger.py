@@ -6,7 +6,8 @@ checked against the commit that wrote the ledger.
     python tools/ledger.py            # compare with it; exit 1 on a difference
 
 The inputs are regenerated from their seeds on every pass:
-  * the criterion-6 corpus (seed 123) under the dft and dct backends;
+  * the criterion-6 corpus (seed 123, the class counts of
+    `benchmark/workloads.CRITERION6_COUNTS`) under the dft and dct backends;
   * the 48 frames-256 frames of seed 31, made by
     `benchmark/workloads.make_frames`, under the default detector;
   * ODD_SHAPES: seeded odd and non-square frames, half with a striped sign
@@ -29,10 +30,9 @@ LEDGER = ROOT / "tests" / "data" / "ledger.json"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
 
 import slice_radon as sr  # noqa: E402
-from workloads import make_frames  # noqa: E402
+from workloads import CRITERION6_COUNTS, make_frames  # noqa: E402
 
 SCORE_TOL = 1e-9
-CRITERION6_COUNTS = {"end_restriction": 200, "speed_limit": 400, "other_negative": 600}
 ODD_SHAPES = [(20, 40), (40, 20), (21, 21), (23, 37), (37, 23), (25, 60), (31, 31),
               (33, 47), (47, 33), (35, 64), (40, 40), (41, 90), (45, 45), (48, 77),
               (51, 51), (53, 101), (57, 60), (59, 59), (60, 129), (129, 60)]
