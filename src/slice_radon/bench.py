@@ -19,6 +19,11 @@ from .transforms import (dct2, dft2, extract_slice, inverse_slice, next_pow2,
                          radon_direct)
 
 
+def _check_backend(backend: str) -> None:
+    if backend not in ("dft", "dct"):
+        raise ValueError(f"unknown backend {backend!r}")
+
+
 def cst_sinogram(img: GrayImage, angles: list[float], backend: str = "dft",
                  pad_factor: int = 2) -> list[np.ndarray]:
     """Per-angle spectrum-slice projections with the 2D transform hoisted.
@@ -27,8 +32,7 @@ def cst_sinogram(img: GrayImage, angles: list[float], backend: str = "dft",
     angle; the spectrum is computed once and reused, which is where the
     slice route earns its speed on many-angle sinograms.
     """
-    if backend not in ("dft", "dct"):
-        raise ValueError(f"unknown backend {backend!r}")
+    _check_backend(backend)
     spec = dft2(img, pad_factor) if backend == "dft" else dct2(img, pad_factor)
     return [inverse_slice(extract_slice(spec, a)) for a in angles]
 
@@ -89,6 +93,9 @@ def run_bench(sizes: list[int], num_angles: int, backend: str = "dft",
     reported (scheduler noise hits both paths, the minimum is the cleanest
     estimate); the error computation happens outside the timed sections.
     """
+    _check_backend(backend)
+    if not sizes:
+        raise ValueError("no sizes given; need at least one")
     for n in sizes:
         if n < 32 or n > 1024 or next_pow2(n) != n:
             raise ValueError(f"size {n} is not a power of two in [32, 1024]")

@@ -158,47 +158,38 @@ def _vote_dtype(n_votes: int) -> type:
     return np.int32 if bound < 2 ** 31 else np.int64
 
 
-def locate_circle(img: GrayImage, r_min: int, r_max: int) -> Circle | None:
-    """Gradient-voting circular Hough transform.
+# Ranges of more than this many radii take the coarse stage; narrower ones
+# are searched exhaustively, where a proposal would save nothing.
+_EXHAUSTIVE_MAX_RADII = 24
 
-    Central-difference gradients; pixels with magnitude above mean + std
-    vote along their gradient line (both senses) at each radius. The
-    accumulator is read through a 3x3x3 window, zero beyond the image and
-    beyond [r_min, r_max], so votes scattered by discretization still pile
-    up. The best cell wins if its windowed score exceeds half the
-    perfect-circle count 2 pi r.
 
-    The (cy, cx, r) accumulator is never held whole, so memory is O(h w)
-    whatever the radius range. Radii are streamed: each radius gets one
-    h x w vote slab (a single bincount over both senses), filtered by a
-    separable zero-padded 3x3 box, and the windowed score at radius r is
-    the sum of the filtered slabs at r - 1, r and r + 1, kept in a rolling
-    window of three. Ties resolve as argmax over the volume in C order
-    would: the lowest (cy, cx) first, then the lowest r.
-
-    With E edge pixels there are 2 E votes per radius, so no windowed score
-    exceeds 6 E. The slabs are uint16 while 6 E < 2**16 (E below 10 923),
-    int32 while 6 E < 2**31, and int64 beyond; see `_vote_dtype`.
-    """
-    h, w = img.height, img.width
-    if not 1 <= r_min <= r_max <= min(w, h) / 2:
-        raise BadRadiusRange(f"need 1 <= {r_min} <= {r_max} <= {min(w, h) / 2}")
-    px = img.pixels
+def _edges(px: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """The edge prelude: central-difference gradients, and the pixels whose
+    magnitude exceeds mean + std, as float (xs, ys, ux, uy) with u the unit
+    gradient; None when no pixel passes."""
     gx = np.zeros_like(px)
     gy = np.zeros_like(px)
     gx[:, 1:-1] = (px[:, 2:] - px[:, :-2]) / 2.0
     gy[1:-1, :] = (px[2:, :] - px[:-2, :]) / 2.0
     mag = np.hypot(gx, gy)
-    thr = mag.mean() + mag.std()
-    ys, xs = np.nonzero(mag > thr)
-    n = len(xs)
-    if n == 0:
+    ys, xs = np.nonzero(mag > mag.mean() + mag.std())
+    if len(xs) == 0:
         return None
-    ux = gx[ys, xs] / mag[ys, xs]
-    uy = gy[ys, xs] / mag[ys, xs]
-    xs = xs.astype(float)
-    ys = ys.astype(float)
+    m = mag[ys, xs]
+    return xs.astype(float), ys.astype(float), gx[ys, xs] / m, gy[ys, xs] / m
 
+
+def _vote_band(edges: tuple[np.ndarray, ...], h: int, w: int, r_min: int, r_max: int,
+               lo: int, hi: int) -> tuple[int, int, int]:
+    """The best (score, flat cell, r) over radii [lo, hi] of the windowed
+    Hough volume of an h x w frame searched over [r_min, r_max].
+
+    The slabs at lo - 1 and hi + 1 are voted too whenever they lie in
+    [r_min, r_max], so every windowed score in the band equals the full
+    search's score for that cell, and ties resolve in C order within it.
+    """
+    xs, ys, ux, uy = edges
+    n = len(xs)
     acc = _vote_dtype(2 * n)
     wp = w + 2
     step = np.empty(n)                  # r * u for one axis
@@ -211,13 +202,13 @@ def locate_circle(img: GrayImage, r_min: int, r_max: int) -> Circle | None:
         # The - sense lands at x - r u, which is exactly x + r (-u). Votes
         # off the image are clipped onto a one-cell border, which is then
         # cleared; the cleared border is also the box's zero padding.
-        for v, p, u, hi in ((vx, xs, ux, w), (vy, ys, uy, h)):
+        for v, p, u, top in ((vx, xs, ux, w), (vy, ys, uy, h)):
             np.multiply(u, r, out=step)
             np.add(p, step, out=v[:n])
             np.subtract(p, step, out=v[n:])
             v += 0.5
             np.floor(v, out=v)
-            np.clip(v, -1, hi, out=v)
+            np.clip(v, -1, top, out=v)
         # padded cell (cy + 1) * wp + (cx + 1); small integers, exact in float
         np.multiply(vy, wp, out=vy)
         np.add(vy, vx, out=vy)
@@ -236,9 +227,11 @@ def locate_circle(img: GrayImage, r_min: int, r_max: int) -> Circle | None:
 
     slabs = [np.zeros((h, w), acc) for _ in range(3)]  # filtered r - 1, r, r + 1
     windowed = np.empty((h, w), acc)
-    filtered_votes(r_min, slabs[1])
-    best_score, best_flat, r0 = -1, 0, r_min
-    for r in range(r_min, r_max + 1):
+    if lo > r_min:
+        filtered_votes(lo - 1, slabs[0])
+    filtered_votes(lo, slabs[1])
+    best_score, best_flat, r0 = -1, 0, lo
+    for r in range(lo, hi + 1):
         prev, cur, nxt = slabs
         if r < r_max:
             filtered_votes(r + 1, nxt)
@@ -253,6 +246,67 @@ def locate_circle(img: GrayImage, r_min: int, r_max: int) -> Circle | None:
         if score > best_score or (score == best_score and flat < best_flat):
             best_score, best_flat, r0 = score, flat, r
         slabs = [cur, nxt, prev]
+    return best_score, best_flat, r0
+
+
+def locate_circle(img: GrayImage, r_min: int, r_max: int) -> Circle | None:
+    """Gradient-voting circular Hough transform, searched coarse to fine.
+
+    Central-difference gradients; pixels with magnitude above mean + std
+    vote along their gradient line (both senses) at each radius. The
+    accumulator is read through a 3x3x3 window, zero beyond the image and
+    beyond [r_min, r_max], so votes scattered by discretization still pile
+    up. The best cell wins if its windowed score exceeds half the
+    perfect-circle count 2 pi r.
+
+    A range of at most 24 radii is searched whole, which is exactly the
+    exhaustive search (the gather oracle's in the tests). A wider range is
+    searched in two stages (a hierarchical Hough, after Li, Lavin & Le
+    Master 1986). The coarse stage votes on the 2x2 mean-pooled frame,
+    with its own edge threshold, over radii max(1, r_min // 2) ...
+    ceil(r_max / 2), clipped to the half frame, and proposes only the radius rc of its best cell; it applies no gate,
+    because at half radius the gate rejects real rings. The fine stage
+    votes on the full-resolution edges over the band 2 rc - 3 ... 2 rc + 3
+    within [r_min, r_max]; its windowed scores equal the exhaustive ones,
+    so it returns the exhaustive circle whenever that circle's radius lies
+    in the band. Measured against the exhaustive search: the same circle
+    on 528/528 frames-256 frames (seeds 21-31, no-circle results included)
+    and on 250/250 seeded 80 px rings over r 6-35; 26 of 1000 random
+    52-128 px ring images with ranges over 24 radii differed, each a ring
+    cut by the frame edge or outside the range. The coarse stage breaks
+    even at about 20 radii on 64-256 px frames, and forced onto every
+    range of 8 or more radii it changed 20 of 3000 random 16-96 px ring
+    images, so narrower ranges gain nothing from it.
+
+    The (cy, cx, r) accumulator is never held whole, so memory is O(h w)
+    whatever the radius range. Radii are streamed: each radius gets one
+    h x w vote slab (a single bincount over both senses), filtered by a
+    separable zero-padded 3x3 box, and the windowed score at radius r is
+    the sum of the filtered slabs at r - 1, r and r + 1, kept in a rolling
+    window of three. Ties resolve as argmax over the volume in C order
+    would: the lowest (cy, cx) first, then the lowest r.
+
+    With E edge pixels there are 2 E votes per radius, so no windowed score
+    exceeds 6 E. The slabs are uint16 while 6 E < 2**16 (E below 10 923),
+    int32 while 6 E < 2**31, and int64 beyond; see `_vote_dtype`.
+    """
+    h, w = img.height, img.width
+    if not 1 <= r_min <= r_max <= min(w, h) / 2:
+        raise BadRadiusRange(f"need 1 <= {r_min} <= {r_max} <= {min(w, h) / 2}")
+    edges = _edges(img.pixels)
+    if edges is None:
+        return None
+    lo, hi = r_min, r_max
+    if r_max - r_min + 1 > _EXHAUSTIVE_MAX_RADII:
+        hh, hw = h // 2, w // 2
+        pooled = img.pixels[:2 * hh, :2 * hw].reshape(hh, 2, hw, 2).mean(axis=(1, 3))
+        coarse = _edges(pooled)
+        if coarse is not None:
+            c_hi = min(-(-r_max // 2), min(hh, hw) // 2)
+            c_lo = min(max(1, r_min // 2), c_hi)
+            rc = _vote_band(coarse, hh, hw, c_lo, c_hi, c_lo, c_hi)[2]
+            lo, hi = max(r_min, 2 * rc - 3), min(r_max, 2 * rc + 3)
+    best_score, best_flat, r0 = _vote_band(edges, h, w, r_min, r_max, lo, hi)
     if best_score <= 0.5 * (2.0 * np.pi * r0):
         return None
     cy0, cx0 = divmod(best_flat, w)

@@ -32,6 +32,15 @@ class GrayImage:
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 
+    def __eq__(self, other):
+        if not isinstance(other, GrayImage):
+            return NotImplemented
+        return np.array_equal(self.pixels, other.pixels)
+
+    def __hash__(self):
+        # the pixels are read-only, so the hash cannot go stale
+        return hash((self.pixels.shape, self.pixels.tobytes()))
+
     @property
     def width(self) -> int:
         return self.pixels.shape[1]

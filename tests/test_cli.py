@@ -266,3 +266,10 @@ def test_out_to_a_missing_directory_is_an_error(tmp_path):
 def test_bench_rejects_non_pow2():
     r = run("bench", "--sizes", "100", "--angles", "2")
     assert r.exit_code == 1
+
+
+def test_bench_rejects_an_empty_size_list():
+    for sizes in (",", "", " , "):
+        r = run("bench", "--sizes", sizes, "--angles", "4")
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit), sizes
+        assert "error: no sizes given" in r.output and "Traceback" not in r.output, sizes

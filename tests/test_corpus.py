@@ -183,6 +183,14 @@ def test_bench_rejects_an_unknown_backend():
             run_bench([32], 4, backend=backend)
 
 
+def test_bench_checks_its_inputs_before_any_work():
+    for sizes in ([], [32]):
+        with pytest.raises(ValueError, match="backend"):
+            run_bench(sizes, 4, backend="fft")
+    with pytest.raises(ValueError, match="no sizes"):
+        run_bench([], 4)
+
+
 def test_bench_report_round_trip():
     report = run_bench([32], 2, seed=0)
     again = BenchReport.from_json(report.to_json())

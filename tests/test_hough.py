@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import draw_ring, hough_gather_oracle, hough_gather_scores
-from slice_radon import BadRadiusRange, GrayImage, detector, locate_circle
+from slice_radon import BadRadiusRange, Circle, GrayImage, detector, locate_circle
 
 
 def test_centered_ring_recovered():
@@ -159,3 +159,62 @@ def test_memory_is_linear_in_frame_area():
         tracemalloc.stop()
     assert c is not None and (c.cx, c.cy, c.radius) == (120, 130, 90)
     assert peak < 7 * n * n * 8
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ring_images(), st.data())
+def test_vote_band_is_the_gather_best_within_the_band(case, data):
+    img, r_min, r_max = case
+    lo = data.draw(st.integers(r_min, r_max))
+    hi = data.draw(st.integers(lo, r_max))
+    scores = hough_gather_scores(img, r_min, r_max)
+    edges = detector._edges(img.pixels)
+    if scores is None:
+        assert edges is None
+        return
+    band = [(cell, s) for cell, s in scores.items() if lo <= cell[2] <= hi]
+    best = max(s for _, s in band)
+    (cy, cx, r), score = next(item for item in band if item[1] == best)  # C order
+    got = detector._vote_band(edges, img.height, img.width, r_min, r_max, lo, hi)
+    assert got == (score, cy * img.width + cx, r)
+
+
+def _criterion_7_rings(seed, count):
+    """Rings on 80 px frames as criterion 7 draws them: r 8-30, contrast
+    0.3-0.9, the whole ring inside the frame."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        r = int(rng.integers(8, 31))
+        cx, cy = (int(rng.integers(r + 4, 80 - r - 4)) for _ in range(2))
+        contrast = float(rng.uniform(0.3, 0.9))
+        bg = float(rng.uniform(contrast, 1.0))
+        yield GrayImage.from_array(draw_ring(80, cx, cy, r, bg - contrast, bg))
+
+
+def test_coarse_to_fine_equals_the_exhaustive_search(monkeypatch):
+    # r 6-35 is 30 radii, so the coarse stage runs and the dtype is chosen
+    # twice per call: once for the half frame and once for the band.
+    real, calls = detector._vote_dtype, []
+    monkeypatch.setattr(detector, "_vote_dtype",
+                        lambda n_votes: calls.append(n_votes) or real(n_votes))
+    for img in _criterion_7_rings(2022, 50):
+        del calls[:]
+        got = locate_circle(img, 6, 35)
+        assert len(calls) == 2
+        edges = detector._edges(img.pixels)
+        score, flat, r = detector._vote_band(edges, 80, 80, 6, 35, 6, 35)
+        assert score > np.pi * r
+        cy, cx = divmod(flat, 80)
+        assert got == Circle(cx=cx, cy=cy, radius=r, score=float(score))
+
+
+def test_only_ranges_over_24_radii_take_the_coarse_stage(monkeypatch):
+    real, calls = detector._vote_dtype, []
+    monkeypatch.setattr(detector, "_vote_dtype",
+                        lambda n_votes: calls.append(n_votes) or real(n_votes))
+    img = GrayImage.from_array(draw_ring(64, 32, 32, 20, 0.1, 0.9))
+    for r_min, r_max, n_calls in ((6, 29, 1), (6, 30, 2), (1, 32, 2)):
+        del calls[:]
+        c = locate_circle(img, r_min, r_max)
+        assert len(calls) == n_calls, (r_min, r_max)
+        assert (c.cx, c.cy, c.radius) == (32, 32, 20)

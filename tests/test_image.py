@@ -75,6 +75,16 @@ def test_image_size_is_the_pixel_shape():
             GrayImage(bad)
 
 
+def test_images_compare_and_hash_by_pixels():
+    a = np.random.default_rng(0).random((3, 4))
+    img = GrayImage(a)
+    assert img == GrayImage(a.copy()) and hash(img) == hash(GrayImage(a.copy()))
+    assert len({img, GrayImage(a.copy()), load_pgm(save_pgm(img))}) == 2
+    for other in (GrayImage(a[:, :3]), GrayImage(a.reshape(4, 3)), GrayImage(a[::-1])):
+        assert img != other
+    assert img != None and img != a.tolist()  # noqa: E711
+
+
 def test_save_single_white_pixel():
     data = save_pgm(GrayImage(np.array([[1.0]])))
     assert data.split() == [b"P2", b"1", b"1", b"255", b"255"]
