@@ -264,19 +264,22 @@ def locate_circle(img: GrayImage, r_min: int, r_max: int) -> Circle | None:
     searched in two stages (a hierarchical Hough, after Li, Lavin & Le
     Master 1986). The coarse stage votes on the 2x2 mean-pooled frame,
     with its own edge threshold, over radii max(1, r_min // 2) ...
-    ceil(r_max / 2), clipped to the half frame, and proposes only the radius rc of its best cell; it applies no gate,
-    because at half radius the gate rejects real rings. The fine stage
-    votes on the full-resolution edges over the band 2 rc - 3 ... 2 rc + 3
-    within [r_min, r_max]; its windowed scores equal the exhaustive ones,
-    so it returns the exhaustive circle whenever that circle's radius lies
-    in the band. Measured against the exhaustive search: the same circle
-    on 528/528 frames-256 frames (seeds 21-31, no-circle results included)
-    and on 250/250 seeded 80 px rings over r 6-35; 26 of 1000 random
-    52-128 px ring images with ranges over 24 radii differed, each a ring
-    cut by the frame edge or outside the range. The coarse stage breaks
-    even at about 20 radii on 64-256 px frames, and forced onto every
-    range of 8 or more radii it changed 20 of 3000 random 16-96 px ring
-    images, so narrower ranges gain nothing from it.
+    ceil(r_max / 2), clipped to the half frame, and proposes only the
+    radius rc of its best cell; it applies no gate, because at half radius
+    the gate rejects real rings. The fine stage votes on the
+    full-resolution edges over the band 2 rc - 3 ... 2 rc + 3 within
+    [r_min, r_max]; its windowed scores equal the exhaustive ones, so it
+    returns the exhaustive circle whenever that circle's radius lies in the
+    band.
+
+    Measured against the exhaustive search: the same circle on 528/528
+    frames-256 frames (seeds 21-31, no-circle results included) and on
+    250/250 seeded 80 px rings over r 6-35; 26 of 1000 random 52-128 px
+    ring images with ranges over 24 radii differed, each a ring cut by the
+    frame edge or outside the range. The coarse stage breaks even at about
+    20 radii on 64-256 px frames, and forced onto every range of 8 or more
+    radii it changed 20 of 3000 random 16-96 px ring images, so narrow
+    ranges stay exhaustive.
 
     The (cy, cx, r) accumulator is never held whole, so memory is O(h w)
     whatever the radius range. Radii are streamed: each radius gets one

@@ -205,8 +205,8 @@ def main(argv=None) -> int:
             for name, wl_seeds in plan:
                 record["end_to_end"][name] = run_pairs(spec, trees, name, wl_seeds, seconds)
             for name in args.trace_workloads:
-                record[f"traced_{name.replace('-', '_')}"] = run_traced(spec, trees, name, args.trace_seed,
-                                                      seconds)
+                record[f"traced_{name.replace('-', '_')}"] = run_traced(
+                    spec, trees, name, args.trace_seed, seconds)
         finally:
             _git("worktree", "remove", "--force", str(tree))
             _git("worktree", "prune")
