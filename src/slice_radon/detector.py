@@ -12,7 +12,8 @@ length but averages noise away).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import ClassVar
+from itertools import takewhile
+from typing import ClassVar, Iterator
 
 import numpy as np
 from scipy.signal import find_peaks
@@ -158,9 +159,10 @@ def _vote_dtype(n_votes: int) -> type:
     return np.int32 if bound < 2 ** 31 else np.int64
 
 
-# Ranges of more than this many radii take the coarse stage; narrower ones
-# are searched exhaustively, where a proposal would save nothing.
-_EXHAUSTIVE_MAX_RADII = 24
+# The coarse stage proposes this many radii, and the fine stage searches a
+# band of _BAND radii centred on each.
+_PROPOSALS = 2
+_BAND = 7
 
 
 def _edges(px: np.ndarray) -> tuple[np.ndarray, ...] | None:
@@ -179,14 +181,15 @@ def _edges(px: np.ndarray) -> tuple[np.ndarray, ...] | None:
     return xs.astype(float), ys.astype(float), gx[ys, xs] / m, gy[ys, xs] / m
 
 
-def _vote_band(edges: tuple[np.ndarray, ...], h: int, w: int, r_min: int, r_max: int,
-               lo: int, hi: int) -> tuple[int, int, int]:
-    """The best (score, flat cell, r) over radii [lo, hi] of the windowed
-    Hough volume of an h x w frame searched over [r_min, r_max].
+def _radius_bests(edges: tuple[np.ndarray, ...], h: int, w: int, r_min: int, r_max: int,
+                  lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """For each radius of [lo, hi] in turn, the best (score, flat cell) of
+    the windowed Hough volume of an h x w frame searched over [r_min, r_max],
+    the lowest cell on ties.
 
     The slabs at lo - 1 and hi + 1 are voted too whenever they lie in
     [r_min, r_max], so every windowed score in the band equals the full
-    search's score for that cell, and ties resolve in C order within it.
+    search's score for that cell.
     """
     xs, ys, ux, uy = edges
     n = len(xs)
@@ -230,7 +233,6 @@ def _vote_band(edges: tuple[np.ndarray, ...], h: int, w: int, r_min: int, r_max:
     if lo > r_min:
         filtered_votes(lo - 1, slabs[0])
     filtered_votes(lo, slabs[1])
-    best_score, best_flat, r0 = -1, 0, lo
     for r in range(lo, hi + 1):
         prev, cur, nxt = slabs
         if r < r_max:
@@ -240,13 +242,50 @@ def _vote_band(edges: tuple[np.ndarray, ...], h: int, w: int, r_min: int, r_max:
         np.add(prev, cur, out=windowed)
         windowed += nxt
         flat = int(np.argmax(windowed))
-        score = int(windowed.flat[flat])
+        yield int(windowed.flat[flat]), flat
+        slabs = [cur, nxt, prev]
+
+
+def _vote_band(edges: tuple[np.ndarray, ...], h: int, w: int, r_min: int, r_max: int,
+               lo: int, hi: int) -> tuple[int, int, int]:
+    """The best (score, flat cell, r) over radii [lo, hi] of the windowed
+    Hough volume of an h x w frame searched over [r_min, r_max]; every score
+    equals the full search's, and ties resolve in C order within the band."""
+    best_score, best_flat, r0 = -1, 0, lo
+    for r, (score, flat) in enumerate(_radius_bests(edges, h, w, r_min, r_max, lo, hi), lo):
         # radii arrive in increasing order, so an equal score replaces the
         # best only from a lower (cy, cx)
         if score > best_score or (score == best_score and flat < best_flat):
             best_score, best_flat, r0 = score, flat, r
-        slabs = [cur, nxt, prev]
     return best_score, best_flat, r0
+
+
+def _coarse_radii(img: GrayImage, r_min: int, r_max: int) -> list[int]:
+    """The coarse stage: the _PROPOSALS full-resolution radii 2 rc whose
+    best windowed score on the 2x2 mean-pooled frame, at half radius and
+    with no gate, is highest (ties to the lower cell, then the lower rc);
+    none when the pooled frame has no edge."""
+    hh, hw = img.height // 2, img.width // 2
+    pooled = img.pixels[:2 * hh, :2 * hw].reshape(hh, 2, hw, 2).mean(axis=(1, 3))
+    coarse = _edges(pooled)
+    if coarse is None:
+        return []
+    c_hi = min(-(-r_max // 2), min(hh, hw) // 2)
+    c_lo = min(max(1, r_min // 2), c_hi)
+    bests = _radius_bests(coarse, hh, hw, c_lo, c_hi, c_lo, c_hi)
+    ranked = sorted((-score, flat, rc) for rc, (score, flat) in enumerate(bests, c_lo))
+    return [2 * rc for _, _, rc in ranked[:_PROPOSALS]]
+
+
+def _grow(edges: tuple[np.ndarray, ...], h: int, w: int, r_min: int, r_max: int,
+          lo: int, hi: int, searched: set[int],
+          best: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Search the band [lo, hi], mark it searched, and return the better of
+    its best and `best`, in the exhaustive search's order: the higher score,
+    then the lower cell, then the lower radius."""
+    found = _vote_band(edges, h, w, r_min, r_max, lo, hi)
+    searched.update(range(lo, hi + 1))
+    return min(found, best, key=lambda b: (-b[0], b[1], b[2]))
 
 
 def locate_circle(img: GrayImage, r_min: int, r_max: int) -> Circle | None:
@@ -259,27 +298,26 @@ def locate_circle(img: GrayImage, r_min: int, r_max: int) -> Circle | None:
     up. The best cell wins if its windowed score exceeds half the
     perfect-circle count 2 pi r.
 
-    A range of at most 24 radii is searched whole, which is exactly the
-    exhaustive search (the gather oracle's in the tests). A wider range is
-    searched in two stages (a hierarchical Hough, after Li, Lavin & Le
-    Master 1986). The coarse stage votes on the 2x2 mean-pooled frame,
-    with its own edge threshold, over radii max(1, r_min // 2) ...
-    ceil(r_max / 2), clipped to the half frame, and proposes only the
-    radius rc of its best cell; it applies no gate, because at half radius
-    the gate rejects real rings. The fine stage votes on the
-    full-resolution edges over the band 2 rc - 3 ... 2 rc + 3 within
-    [r_min, r_max]; its windowed scores equal the exhaustive ones, so it
-    returns the exhaustive circle whenever that circle's radius lies in the
-    band.
+    The radii are searched in exact bands (`_vote_band`: each windowed
+    score equals the exhaustive search's). A range no wider than the two
+    proposal bands (14 radii) is one band, which is exactly the exhaustive
+    search (the gather oracle's in the tests). A wider range first takes
+    the coarse stage (a hierarchical Hough, after Li, Lavin & Le Master
+    1986): the 2x2 mean-pooled frame, with its own edge threshold, is
+    searched at half radius with no gate, since at half radius the gate
+    rejects real rings, and the two radii with the best cells are
+    proposed. The full-resolution edges are then searched over the 7
+    radii centred on each proposal. Last, while a neighbouring radius of
+    the best one is unsearched, the next 7 radii on that side are searched
+    too, so the result's radius always scores at least as high as both of
+    its neighbours. The exhaustive circle is returned whenever its radius
+    lies in a searched band.
 
     Measured against the exhaustive search: the same circle on 528/528
-    frames-256 frames (seeds 21-31, no-circle results included) and on
-    250/250 seeded 80 px rings over r 6-35; 26 of 1000 random 52-128 px
-    ring images with ranges over 24 radii differed, each a ring cut by the
-    frame edge or outside the range. The coarse stage breaks even at about
-    20 radii on 64-256 px frames, and forced onto every range of 8 or more
-    radii it changed 20 of 3000 random 16-96 px ring images, so narrow
-    ranges stay exhaustive.
+    frames-256 frames (seeds 21-31, no-circle results included); on 998 of
+    1000 random 52-128 px ring images with ranges over 24 radii, the other
+    2 rings lying partly outside the frame and beyond r_max; and on all 269
+    images of a random 16-96 px set whose range spans more than 14 radii.
 
     The (cy, cx, r) accumulator is never held whole, so memory is O(h w)
     whatever the radius range. Radii are streamed: each radius gets one
@@ -299,17 +337,32 @@ def locate_circle(img: GrayImage, r_min: int, r_max: int) -> Circle | None:
     edges = _edges(img.pixels)
     if edges is None:
         return None
-    lo, hi = r_min, r_max
-    if r_max - r_min + 1 > _EXHAUSTIVE_MAX_RADII:
-        hh, hw = h // 2, w // 2
-        pooled = img.pixels[:2 * hh, :2 * hw].reshape(hh, 2, hw, 2).mean(axis=(1, 3))
-        coarse = _edges(pooled)
-        if coarse is not None:
-            c_hi = min(-(-r_max // 2), min(hh, hw) // 2)
-            c_lo = min(max(1, r_min // 2), c_hi)
-            rc = _vote_band(coarse, hh, hw, c_lo, c_hi, c_lo, c_hi)[2]
-            lo, hi = max(r_min, 2 * rc - 3), min(r_max, 2 * rc + 3)
-    best_score, best_flat, r0 = _vote_band(edges, h, w, r_min, r_max, lo, hi)
+    proposals = _coarse_radii(img, r_min, r_max) \
+        if r_max - r_min + 1 > _PROPOSALS * _BAND else []
+    bands: list[tuple[int, int]] = []
+    for c in sorted(proposals):
+        lo, hi = max(r_min, c - _BAND // 2), min(r_max, c + _BAND // 2)
+        if bands and lo <= bands[-1][1] + 1:
+            bands[-1] = (bands[-1][0], hi)
+        else:
+            bands.append((lo, hi))
+    searched: set[int] = set()
+    best = (-1, 0, r_min)
+    for lo, hi in bands or [(r_min, r_max)]:
+        best = _grow(edges, h, w, r_min, r_max, lo, hi, searched, best)
+    # grow the search until both neighbours of the best radius are searched
+    while True:
+        r0 = best[2]
+        below = list(takewhile(lambda r: r not in searched, range(r0 - 1, r_min - 1, -1)))
+        above = list(takewhile(lambda r: r not in searched, range(r0 + 1, r_max + 1)))
+        if below:
+            lo, hi = below[:_BAND][-1], r0 - 1
+        elif above:
+            lo, hi = r0 + 1, above[:_BAND][-1]
+        else:
+            break
+        best = _grow(edges, h, w, r_min, r_max, lo, hi, searched, best)
+    best_score, best_flat, r0 = best
     if best_score <= 0.5 * (2.0 * np.pi * r0):
         return None
     cy0, cx0 = divmod(best_flat, w)

@@ -191,29 +191,54 @@ def _criterion_7_rings(seed, count):
         yield GrayImage.from_array(draw_ring(80, cx, cy, r, bg - contrast, bg))
 
 
+def _exhaustive(img, r_min, r_max):
+    """The one-band search over the whole range, gated as locate_circle is."""
+    edges = detector._edges(img.pixels)
+    if edges is None:
+        return None
+    score, flat, r = detector._vote_band(edges, img.height, img.width, r_min, r_max,
+                                         r_min, r_max)
+    if score <= np.pi * r:
+        return None
+    cy, cx = divmod(flat, img.width)
+    return Circle(cx=cx, cy=cy, radius=r, score=float(score))
+
+
+def _spy_coarse_stage(monkeypatch):
+    real, calls = detector._coarse_radii, []
+    monkeypatch.setattr(detector, "_coarse_radii",
+                        lambda *args: calls.append(args[1:]) or real(*args))
+    return calls
+
+
 def test_coarse_to_fine_equals_the_exhaustive_search(monkeypatch):
-    # r 6-35 is 30 radii, so the coarse stage runs and the dtype is chosen
-    # twice per call: once for the half frame and once for the band.
-    real, calls = detector._vote_dtype, []
-    monkeypatch.setattr(detector, "_vote_dtype",
-                        lambda n_votes: calls.append(n_votes) or real(n_votes))
+    calls = _spy_coarse_stage(monkeypatch)
     for img in _criterion_7_rings(2022, 50):
         del calls[:]
         got = locate_circle(img, 6, 35)
-        assert len(calls) == 2
-        edges = detector._edges(img.pixels)
-        score, flat, r = detector._vote_band(edges, 80, 80, 6, 35, 6, 35)
-        assert score > np.pi * r
-        cy, cx = divmod(flat, 80)
-        assert got == Circle(cx=cx, cy=cy, radius=r, score=float(score))
+        assert calls == [(6, 35)]
+        assert got is not None and got == _exhaustive(img, 6, 35)
 
 
-def test_only_ranges_over_24_radii_take_the_coarse_stage(monkeypatch):
-    real, calls = detector._vote_dtype, []
-    monkeypatch.setattr(detector, "_vote_dtype",
-                        lambda n_votes: calls.append(n_votes) or real(n_votes))
+def test_edge_cut_rings_equal_the_exhaustive_search():
+    # 64 x 80 frames; the ring's centre lies within r / 2 of one frame edge,
+    # so the frame cuts it. A single coarse proposal missed one in this set.
+    rng = np.random.default_rng(0)
+    yy, xx = np.mgrid[0:64, 0:80].astype(float)
+    for _ in range(40):
+        r = int(rng.integers(10, 29))
+        cx, cy = float(rng.uniform(0, 79)), float(rng.uniform(0, 63))
+        side, d = int(rng.integers(4)), float(rng.uniform(0, r / 2))
+        cx, cy = ((d, cy), (79 - d, cy), (cx, d), (cx, 63 - d))[side]
+        cov = np.clip(1.5 - np.abs(np.hypot(xx - cx, yy - cy) - r), 0.0, 1.0)
+        img = GrayImage.from_array(0.9 - 0.8 * cov)
+        assert locate_circle(img, 4, 32) == _exhaustive(img, 4, 32), (cx, cy, r)
+
+
+def test_only_ranges_over_14_radii_take_the_coarse_stage(monkeypatch):
+    calls = _spy_coarse_stage(monkeypatch)
     img = GrayImage.from_array(draw_ring(64, 32, 32, 20, 0.1, 0.9))
-    for r_min, r_max, n_calls in ((6, 29, 1), (6, 30, 2), (1, 32, 2)):
+    for r_min, r_max, n_calls in ((8, 21, 0), (16, 29, 0), (16, 30, 1), (1, 32, 1)):
         del calls[:]
         c = locate_circle(img, r_min, r_max)
         assert len(calls) == n_calls, (r_min, r_max)

@@ -6,9 +6,9 @@ alternating pairs, and write a BENCH_<pr>.json record.
         --trace-workloads frames-256 corpus-20 --title "..." --out BENCH_<pr>.json
 
 REV is checked out with `git worktree` into a temporary directory, which is
-removed at the end. Each workload runs `--pairs` pairs (or the count after
-its colon); pair i runs seed i of `--seeds`, and the side that goes first
-flips from pair to pair, so that drift of the host falls on both sides.
+removed at the end. Each workload runs the number of pairs after its colon;
+pair i runs seed i of `--seeds`, and the side that goes first flips from
+pair to pair, so that drift of the host falls on both sides.
 The change side is this checkout's working tree, uncommitted edits included.
 
 The gated metric names, their `better` direction and their bounds are read
@@ -16,10 +16,12 @@ from BENCHMARK.json, as are the benchmark command and its run length.
 For each metric the record gives both sides' per-pair values, medians and
 quartiles, the change's wins over the parent in paired runs, and the gap
 between the medians against the parent's quartile distance. A claim
-(`--claim W:metric`) is met when the change wins at least 9 of 10 pairs and
+(`--claim W:metric`) is met when the change wins at least 9 of 10 pairs,
 the median gap in the better direction exceeds the parent's quartile
-distance. `--trace-workloads` adds one `--trace 1` run per side of each
-named workload, with its per-layer metrics.
+distance, every run of both sides exits 0 and is correct, and the change
+fails no more operations than the parent. `--trace-workloads` adds one
+`--trace 1` run per side of each named workload at seed 31, with its
+per-layer metrics.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+TRACE_SEED = 31
 # a printed metric line of benchmark/run.py: name, value, unit
 _METRIC_LINE = re.compile(r"^  (\S+)\s+(-?[0-9.]+(?:e[-+]?[0-9]+)?|nan|-?inf) (\S+)$")
 
@@ -99,15 +102,25 @@ def summarize(spec_metric: dict, parent: list[float], change: list[float]) -> di
             "worse_than_bound": -gap > spec_metric["bound"] * abs(p["median"])}
 
 
-def claim_line(entry: dict, workload: str, metric: str) -> dict:
+def claim_line(runs: dict, workload: str, metric: str) -> dict:
+    """The claim on `metric` of one workload's paired runs: met only when
+    the change wins, nothing exits non-zero or is incorrect, and the change
+    fails no more operations than the parent."""
+    entry = runs["metrics"][metric]
     wins, pairs = (int(x) for x in entry["change_wins"].split("/"))
-    met = wins * 10 >= 9 * pairs and entry["median_gap"] > entry["parent_iqr"]
+    failed = {s: int(runs["failed_over_attempted"][s].split("/")[0]) for s in SIDES}
+    clean = (not any(code for s in SIDES for code in runs["exits"][s])
+             and all(runs["all_correct"].values()) and failed["change"] <= failed["parent"])
+    met = clean and wins * 10 >= 9 * pairs and entry["median_gap"] > entry["parent_iqr"]
+    ratio = entry["change_over_parent"]
     return {"metric": metric, "workload": workload,
             "result": f"{'met' if met else 'not met'}: change wins {wins}/{pairs} pairs; "
                       f"median {entry['parent']['median']:.4g} -> "
-                      f"{entry['change']['median']:.4g} {entry['unit']} "
-                      f"(x{entry['change_over_parent']:.3f}), gap {entry['median_gap']:.4g} "
-                      f"against a parent quartile distance of {entry['parent_iqr']:.4g}"}
+                      f"{entry['change']['median']:.4g} {entry['unit']}"
+                      + ("" if ratio is None else f" (x{ratio:.3f})")
+                      + f", gap {entry['median_gap']:.4g} against a parent quartile distance "
+                        f"of {entry['parent_iqr']:.4g}; failed {failed['parent']} -> "
+                        f"{failed['change']}" + ("" if clean else "; a run failed")}
 
 
 def run_pairs(spec: dict, trees: dict, workload: str, seeds: list[int], seconds: float) -> dict:
@@ -163,25 +176,23 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
     ap.add_argument("--workloads", nargs="+", required=True,
-                    help="workload names, each optionally NAME:PAIRS")
-    ap.add_argument("--pairs", type=int, default=10)
+                    help="NAME:PAIRS for each workload")
     ap.add_argument("--seeds", default="41-50", help="LO-HI; pair i runs seed i")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length (default: BENCHMARK.json run_seconds)")
     ap.add_argument("--claim", default=None, help="WORKLOAD:METRIC claimed to improve")
     ap.add_argument("--trace-workloads", nargs="*", default=[])
-    ap.add_argument("--trace-seed", type=int, default=31)
     ap.add_argument("--title", default="")
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or float(spec["run_seconds"])
+    seconds = float(spec["run_seconds"])
     seeds = _seeds(args.seeds)
     plan = []
     for item in args.workloads:
         name, _, pairs = item.partition(":")
-        n = int(pairs or args.pairs)
+        if not pairs.isdigit():
+            ap.error(f"--workloads {item}: give NAME:PAIRS")
+        n = int(pairs)
         if n > len(seeds):
             ap.error(f"{name} needs {n} seeds; --seeds {args.seeds} has {len(seeds)}")
         plan.append((name, seeds[:n]))
@@ -206,14 +217,13 @@ def main(argv=None) -> int:
                 record["end_to_end"][name] = run_pairs(spec, trees, name, wl_seeds, seconds)
             for name in args.trace_workloads:
                 record[f"traced_{name.replace('-', '_')}"] = run_traced(
-                    spec, trees, name, args.trace_seed, seconds)
+                    spec, trees, name, TRACE_SEED, seconds)
         finally:
             _git("worktree", "remove", "--force", str(tree))
             _git("worktree", "prune")
     if args.claim:
         workload, _, metric = args.claim.partition(":")
-        record["claim"] = claim_line(record["end_to_end"][workload]["metrics"][metric],
-                                     workload, metric)
+        record["claim"] = claim_line(record["end_to_end"][workload], workload, metric)
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {args.out}" + (f"; claim {record['claim']['result']}" if args.claim else ""),
           file=sys.stderr)
